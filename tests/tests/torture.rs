@@ -114,3 +114,84 @@ fn osiris_scheme_survives_torture_through_trial_decryption_recovery() {
     assert!(report.silent().is_empty());
     assert!(report.count(Classification::RecoveredOld) > 0);
 }
+
+/// FNV-1a over every case's (repro, classification, detail), in sweep
+/// order: a case-by-case fingerprint of a campaign, not just its tally.
+fn golden_digest<'a>(cases: impl Iterator<Item = (String, &'a str, &'a str)>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (repro, class, detail) in cases {
+        for part in [repro.as_bytes(), class.as_bytes(), detail.as_bytes()] {
+            for &b in part.iter().chain(&[0xff]) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn reduced_grids_match_their_golden_digests() {
+    use supermem::torture::{run_tree_torture, TreeTortureConfig};
+    use supermem_kv::{kv_run_torture, KvTortureConfig};
+    use supermem_serve::{run_serve_torture, ServeTortureConfig};
+
+    let mut data = Vec::new();
+    for channels in [1, 2] {
+        let report = run_torture(&TortureConfig {
+            schemes: vec![Scheme::SuperMem, Scheme::Osiris],
+            seeds: vec![1],
+            channels: vec![channels],
+            ..TortureConfig::default()
+        });
+        data.push(golden_digest(report.results.iter().map(|r| {
+            (r.case.repro(), r.classification.name(), r.detail.as_str())
+        })));
+    }
+    let tree = run_tree_torture(&TreeTortureConfig {
+        levels: vec![1],
+        seeds: vec![1],
+        ..TreeTortureConfig::default()
+    });
+    let serve = run_serve_torture(&ServeTortureConfig {
+        seeds: vec![1],
+        ..ServeTortureConfig::default()
+    });
+    let kv = kv_run_torture(&KvTortureConfig {
+        schemes: vec![Scheme::SuperMem],
+        seeds: vec![1],
+        ..KvTortureConfig::default()
+    });
+    let got = [
+        data[0],
+        data[1],
+        golden_digest(
+            tree.results
+                .iter()
+                .map(|r| (r.case.repro(), r.classification.name(), r.detail.as_str())),
+        ),
+        golden_digest(
+            serve
+                .results
+                .iter()
+                .map(|r| (r.case.repro(), r.classification.name(), r.detail.as_str())),
+        ),
+        golden_digest(
+            kv.results
+                .iter()
+                .map(|r| (r.case.repro(), r.classification.name(), r.detail.as_str())),
+        ),
+    ];
+    // Pinned case by case: any change to a case's spelling, verdict or
+    // evidence, or to the sweep order, moves these.
+    assert_eq!(
+        got,
+        [
+            0x78e4_38bd_6506_48f5,
+            0x7f1c_d558_65b8_f5bb,
+            0x6d8f_abab_4109_94b7,
+            0x3351_5382_02f2_1a98,
+            0x9268_8fe9_7aa8_cfeb,
+        ],
+        "{got:#018x?}"
+    );
+}

@@ -33,30 +33,7 @@ fn main() {
     let cfg = KvTortureConfig::default();
     let report = kv_run_torture(&cfg);
 
-    let mut by_scheme = TextTable::new(
-        [
-            "scheme",
-            "cases",
-            "recovered-committed",
-            "lost-unacked-tail",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
-    for s in report.by_scheme() {
-        by_scheme.row(vec![
-            s.scheme.name().to_owned(),
-            s.cases.to_string(),
-            s.committed.to_string(),
-            s.lost_tail.to_string(),
-            s.detected.to_string(),
-            s.silent.to_string(),
-            s.verdict().to_owned(),
-        ]);
-    }
+    let by_scheme = report.table();
 
     let mut by_class = TextTable::new(
         [
@@ -73,7 +50,15 @@ fn main() {
     );
     for class in cfg.classes.iter().copied() {
         for scheme in KV_TORTURE_SCHEMES {
-            let cell = |c| report.count_cell(scheme, class, c);
+            let cell = |c| {
+                report
+                    .results
+                    .iter()
+                    .filter(|r| {
+                        r.case.scheme == scheme && r.case.class == class && r.classification == c
+                    })
+                    .count()
+            };
             let cases = cell(KvClassification::RecoveredCommitted)
                 + cell(KvClassification::LostUnackedTail)
                 + cell(KvClassification::Detected)

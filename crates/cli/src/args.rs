@@ -15,6 +15,12 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+impl From<String> for ArgError {
+    fn from(msg: String) -> Self {
+        ArgError(msg)
+    }
+}
+
 /// Parsed `run`-style flags.
 #[derive(Debug, Clone)]
 pub struct Parsed {
@@ -28,18 +34,7 @@ pub struct Parsed {
 
 /// Parses a scheme name (paper labels, case-insensitive).
 pub fn parse_scheme(s: &str) -> Result<Scheme, ArgError> {
-    match s.to_ascii_lowercase().as_str() {
-        "unsec" => Ok(Scheme::Unsec),
-        "wb" | "writeback" | "ideal" => Ok(Scheme::WriteBackIdeal),
-        "wt" | "writethrough" => Ok(Scheme::WriteThrough),
-        "wt+cwc" | "cwc" => Ok(Scheme::WtCwc),
-        "wt+xbank" | "xbank" => Ok(Scheme::WtXbank),
-        "supermem" => Ok(Scheme::SuperMem),
-        "wt+samebank" | "samebank" => Ok(Scheme::WtSameBank),
-        "osiris" => Ok(Scheme::Osiris),
-        "sca" => Ok(Scheme::Sca),
-        other => Err(ArgError(format!("unknown scheme `{other}`"))),
-    }
+    Scheme::parse(s).ok_or_else(|| ArgError(format!("unknown scheme `{}`", s.to_ascii_lowercase())))
 }
 
 /// Parses a size with optional `K`/`M` suffix.

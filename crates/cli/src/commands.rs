@@ -1,13 +1,10 @@
 //! Command implementations.
 
 use supermem::metrics::TextTable;
-use supermem::nvm::FaultClass;
-use supermem::persist::{
-    recover_osiris, recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager,
-};
+use supermem::persist::{recover_osiris, recover_transactions, DirectMem, RecoveredMemory};
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::sim::{CounterPlacement, Mutation};
-use supermem::torture::{self, TortureConfig};
+use supermem::torture::{self, flag_value, Classification, Subject, TortureConfig};
 use supermem::verify::{check_run, check_run_trace, run_mutant_sharded, CheckReport};
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::Workload;
@@ -15,13 +12,10 @@ use supermem::workloads::WorkloadKind;
 use supermem::{sweep, Experiment, RunConfig, RunResult, Scheme};
 use supermem_bench::Report;
 use supermem_kv::{
-    kv_crash_points, kv_run_case, kv_run_torture, kv_shrink_point, KvLayout, KvTortureCase,
-    KvTortureConfig, KvWorkload,
+    kv_crash_points, kv_run_case, KvLayout, KvTortureCase, KvTortureConfig, KvWorkload,
 };
 use supermem_lincheck::{find_minimal, lincheck, CrashMode, LincheckConfig, Mutant};
-use supermem_serve::{
-    run_serve, run_serve_torture, ServeConfig, ServeTortureConfig, StructureKind, TrafficSpec,
-};
+use supermem_serve::{run_serve, ServeConfig, ServeTortureConfig, StructureKind, TrafficSpec};
 
 use crate::args::{parse_run_flags, parse_scheme, ArgError, Parsed};
 
@@ -282,42 +276,26 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Sweeps a crash over every append boundary of one durable transaction
-/// under `scheme`, classifying each recovery. Returns
-/// `(total, rolled_back, committed, unrecoverable)`.
+/// Sweeps a crash over every append boundary of the data torture
+/// subject's transaction under `scheme`, classifying each recovery.
+/// Returns `(total, rolled_back, committed, unrecoverable)`.
 fn crash_sweep_scheme(scheme: Scheme, channels: usize) -> Result<(u64, u64, u64, u64), String> {
-    const DATA: u64 = 0x2000;
-    const LOG: u64 = 0x10_0000;
-    let cfg = scheme
-        .apply(supermem::sim::Config::default())
-        .with_channels(channels);
-    let mut base = DirectMem::new(&cfg);
-    base.persist(DATA, &[0x11; 256]);
-    base.shutdown();
-
-    let run_txn = |mem: &mut DirectMem| {
-        let mut txm = TxnManager::new(LOG, 4096);
-        let mut txn = txm.begin();
-        txn.write(DATA, vec![0x22; 256]);
-        txn.commit(mem).expect("commit");
-    };
-    let mut dry = base.clone();
-    let before = dry.controller().append_events();
-    run_txn(&mut dry);
-    dry.shutdown();
-    let total = dry.controller().append_events() - before;
+    let data = TortureConfig::default();
+    let group = (scheme, channels);
+    let cfg = TortureConfig::machine(group);
+    let base = TortureConfig::base(&cfg, group);
+    let total = torture::crash_points(&data, group, 1);
 
     let (mut old, mut new, mut bad) = (0u64, 0u64, 0u64);
     for k in 1..=total {
-        let mut mem = base.clone();
-        mem.controller_mut().arm_crash_after_appends(k);
-        run_txn(&mut mem);
-        let Some(machine) = mem.controller_mut().take_machine_crash_image() else {
+        let case = TortureConfig::case(group, None, k, 1);
+        let (machine, fired) = torture::crash_image(&data, &base, &case);
+        if !fired {
             return Err(format!(
                 "{scheme}: crash armed after {k} appends never fired \
                  (the transaction issued only {total})"
             ));
-        };
+        }
         // Osiris-style schemes reconstruct stale counters from ECC tags
         // before the log scan; strict schemes go straight to recovery.
         // On this clean (un-faulted) media a recovery error still means
@@ -333,16 +311,14 @@ fn crash_sweep_scheme(scheme: Scheme, channels: usize) -> Result<(u64, u64, u64,
             bad += 1;
             continue;
         };
-        if recover_transactions(&mut rec, LOG).is_err() {
+        if recover_transactions(&mut rec, torture::LOG_ADDR).is_err() {
             bad += 1;
             continue;
         }
-        let mut buf = [0u8; 256];
-        rec.read(DATA, &mut buf);
-        match buf {
-            b if b == [0x11; 256] => old += 1,
-            b if b == [0x22; 256] => new += 1,
-            _ => bad += 1,
+        match torture::oracle_state(&mut rec) {
+            Some(Classification::RecoveredOld) => old += 1,
+            Some(_) => new += 1,
+            None => bad += 1,
         }
     }
     Ok((total, old, new, bad))
@@ -423,267 +399,30 @@ pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
 }
 
 /// `supermem torture [--scheme S] [--fault F|none] [--point K]
-/// [--seed N] [--seeds COUNT] [--channels N] [--json]`: the differential crash-torture
-/// campaign — media faults injected at crash time, every recovered
-/// image checked against the shadow oracle. Exits non-zero (with a
-/// shrunk reproducer per case) if any injection corrupts silently.
+/// [--seed N] [--seeds COUNT] [--channels N] [--json]`: the differential
+/// crash-torture campaign on the data subject — media faults injected at
+/// crash time, every recovered image checked against the shadow oracle;
+/// or, with `--tree [--persisted-levels L] [--fault F|tamper|none]`, on
+/// the integrity-tree subject.
 pub fn cmd_torture(argv: &[String]) -> Result<(), ArgError> {
     if argv.iter().any(|a| a == "--tree") {
-        return cmd_tree_torture(argv);
+        campaign::<torture::TreeTortureConfig>(argv)
+    } else {
+        campaign::<TortureConfig>(argv)
     }
-    let mut cfg = TortureConfig::default();
-    let mut it = argv.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, ArgError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => cfg.schemes = vec![parse_scheme(&value(&mut it, "--scheme")?)?],
-            "--fault" => {
-                let f = value(&mut it, "--fault")?;
-                cfg.classes = if f.eq_ignore_ascii_case("none") {
-                    vec![None]
-                } else {
-                    vec![Some(FaultClass::parse(&f).ok_or_else(|| {
-                        ArgError(format!(
-                            "unknown fault `{f}` (expected none or one of: {})",
-                            FaultClass::ALL.map(FaultClass::name).join(" ")
-                        ))
-                    })?)]
-                };
-            }
-            "--point" => {
-                cfg.point = Some(
-                    value(&mut it, "--point")?
-                        .parse()
-                        .map_err(|_| ArgError("invalid --point".into()))?,
-                );
-            }
-            "--seed" => {
-                cfg.seeds = vec![value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seed".into()))?];
-            }
-            "--seeds" => {
-                let n: u64 = value(&mut it, "--seeds")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seeds".into()))?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                cfg.seeds = (1..=n).collect();
-            }
-            "--channels" => {
-                let n: usize = value(&mut it, "--channels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --channels".into()))?;
-                if n == 0 || !n.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-                cfg.channels = vec![n];
-            }
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
-
-    let report = torture::run_torture(&cfg);
-
-    let mut t = TextTable::new(
-        [
-            "scheme",
-            "cases",
-            "recovered-old",
-            "recovered-new",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
-    for s in report.by_scheme() {
-        t.row(vec![
-            s.scheme.name().to_owned(),
-            s.cases.to_string(),
-            s.recovered_old.to_string(),
-            s.recovered_new.to_string(),
-            s.detected.to_string(),
-            s.silent.to_string(),
-            s.verdict().to_owned(),
-        ]);
-    }
-    let mut rep = Report::new("torture");
-    rep.section(
-        "Differential crash torture: crash point x fault class x seed",
-        t,
-    );
-    rep.footnote(&format!(
-        "{} injections across {} scheme(s), {} fault class(es), {} seed(s)",
-        report.total(),
-        cfg.schemes.len(),
-        cfg.classes.len(),
-        cfg.seeds.len()
-    ));
-    rep.footnote("(detected = degraded but flagged by ECC/poison/dirty-shutdown or a typed error)");
-    rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-        let mut min = r.case;
-        min.point = torture::shrink_point(&r.case);
-        eprintln!("  minimal repro: {}", min.repro());
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
 }
 
-/// `supermem torture --tree [--persisted-levels L] [--fault F|tamper|none]
-/// [--point K] [--seed N] [--seeds COUNT] [--json]` — the integrity-tree
-/// campaign: media faults and ECC-clean tampering aimed at the persisted
-/// tree-node region of a streaming-tree SuperMem machine.
-fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
-    use supermem::torture::{run_tree_torture, TreeFault, TreeTortureConfig};
-
-    let mut cfg = TreeTortureConfig::default();
-    let mut it = argv.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, ArgError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    };
-    while let Some(arg) = it.next() {
-        #[allow(clippy::match_same_arms)] // `--tree` routed us here; `--json` is read elsewhere
-        match arg.as_str() {
-            "--tree" => {}
-            "--persisted-levels" => {
-                let n: u32 = value(&mut it, "--persisted-levels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --persisted-levels".into()))?;
-                if n == 0 {
-                    return Err(ArgError(
-                        "--persisted-levels must be at least 1 (level 0 persists \
-                         nothing and leaves no tree region to torture)"
-                            .into(),
-                    ));
-                }
-                cfg.levels = vec![n];
-            }
-            "--fault" => {
-                let f = value(&mut it, "--fault")?;
-                cfg.faults = if f.eq_ignore_ascii_case("none") {
-                    vec![TreeFault::None]
-                } else if f.eq_ignore_ascii_case("tamper") {
-                    vec![TreeFault::Tamper]
-                } else {
-                    vec![TreeFault::Media(FaultClass::parse(&f).ok_or_else(
-                        || {
-                            ArgError(format!(
-                                "unknown fault `{f}` (expected none, tamper, or one of: {})",
-                                FaultClass::ALL.map(FaultClass::name).join(" ")
-                            ))
-                        },
-                    )?)]
-                };
-            }
-            "--point" => {
-                cfg.point = Some(
-                    value(&mut it, "--point")?
-                        .parse()
-                        .map_err(|_| ArgError("invalid --point".into()))?,
-                );
-            }
-            "--seed" => {
-                cfg.seeds = vec![value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seed".into()))?];
-            }
-            "--seeds" => {
-                let n: u64 = value(&mut it, "--seeds")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seeds".into()))?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                cfg.seeds = (1..=n).collect();
-            }
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
-
-    let report = run_tree_torture(&cfg);
-
-    let mut t = TextTable::new(
-        [
-            "frontier",
-            "cases",
-            "recovered-old",
-            "recovered-new",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
-    for &levels in &cfg.levels {
-        let rows: Vec<_> = report
-            .results
-            .iter()
-            .filter(|r| r.case.levels == levels)
-            .collect();
-        let tally = |c| {
-            rows.iter()
-                .filter(|r| r.classification == c)
-                .count()
-                .to_string()
-        };
-        let silent = rows
-            .iter()
-            .filter(|r| r.classification == torture::Classification::Silent)
-            .count();
-        t.row(vec![
-            format!("L{levels}"),
-            rows.len().to_string(),
-            tally(torture::Classification::RecoveredOld),
-            tally(torture::Classification::RecoveredNew),
-            tally(torture::Classification::Detected),
-            silent.to_string(),
-            if silent > 0 {
-                "SILENT CORRUPTION"
-            } else {
-                "fail-safe"
-            }
-            .to_owned(),
-        ]);
-    }
-    let mut rep = Report::new("tree-torture");
-    rep.section(
-        "Integrity-tree torture: crash point x tree fault x seed (SuperMem, streaming tree)",
-        t,
-    );
-    rep.footnote(&format!(
-        "{} injections across {} frontier(s), {} fault(s), {} seed(s)",
-        report.total(),
-        cfg.levels.len(),
-        cfg.faults.len(),
-        cfg.seeds.len()
-    ));
-    rep.footnote(
-        "(tamper = ECC-clean node-line forgery; only the recovery-time tree audit can catch it)",
-    );
+/// Runs one crash-torture campaign from its command line: the shared
+/// flags, the per-group tally table and footnotes, and — if any case
+/// corrupted silently — its reproducer, a shrunk minimal reproducer,
+/// and a non-zero exit.
+fn campaign<S: Subject>(argv: &[String]) -> Result<(), ArgError> {
+    let subject: S = torture::parse(argv).map_err(ArgError)?;
+    let report = torture::run(&subject);
+    let mut rep = Report::new(S::NAME);
+    rep.section(S::TITLE, report.table());
+    rep.footnote(&report.footnote(&subject));
+    rep.footnote(S::LEGEND);
     rep.emit();
 
     let silent = report.silent();
@@ -692,8 +431,10 @@ fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
     }
     for r in &silent {
         eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
+        eprintln!("silent corruption: {}", S::repro(&r.case));
         eprintln!("  {}", r.detail);
+        let min = torture::shrink(&subject, &r.case);
+        eprintln!("  minimal repro: {}", S::repro(&min));
     }
     Err(ArgError(format!(
         "silent corruption in {} of {} injections",
@@ -708,109 +449,49 @@ fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
 /// — drive a shared lock-free structure open-loop and print the tail
 /// table; or `supermem serve --torture [--structure S] [--scheme S]
 /// [--fault F|none] [--point K] [--seed N] [--seeds COUNT] [--json]` —
-/// the CAS-window crash campaign.
+/// the CAS-window crash campaign on the serve torture subject.
 pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
+    if argv.iter().any(|a| a == "--torture") {
+        return campaign::<ServeTortureConfig>(argv);
+    }
     let mut cfg = ServeConfig::default();
-    let mut torture = false;
-    let mut fault: Option<Vec<Option<FaultClass>>> = None;
-    let mut point: Option<u64> = None;
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut structure_named = false;
-    let mut seed_named = false;
     let mut it = argv.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, ArgError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    };
-    let parse_num = |s: String, flag: &str| -> Result<u64, ArgError> {
-        s.parse().map_err(|_| ArgError(format!("invalid {flag}")))
-    };
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--torture" => torture = true,
+        let flag = arg.as_str();
+        match flag {
             "--structure" => {
-                let s = value(&mut it, "--structure")?;
+                let s: String = flag_value(&mut it, flag)?;
                 cfg.structure = StructureKind::parse(&s).ok_or_else(|| {
                     ArgError(format!(
                         "unknown structure `{s}` (expected stack|queue|hash)"
                     ))
                 })?;
-                structure_named = true;
             }
-            "--scheme" => cfg.scheme = parse_scheme(&value(&mut it, "--scheme")?)?,
-            "--cores" => cfg.cores = parse_num(value(&mut it, "--cores")?, "--cores")? as usize,
-            "--requests" => cfg.requests = parse_num(value(&mut it, "--requests")?, "--requests")?,
-            "--read-pct" => {
-                cfg.read_pct = value(&mut it, "--read-pct")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --read-pct".into()))?;
-            }
-            "--mean-gap" => cfg.mean_gap = parse_num(value(&mut it, "--mean-gap")?, "--mean-gap")?,
-            "--zipf" => {
-                cfg.zipf_theta = value(&mut it, "--zipf")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --zipf".into()))?;
-            }
-            "--keyspace" => cfg.keyspace = parse_num(value(&mut it, "--keyspace")?, "--keyspace")?,
-            "--buckets" => {
-                cfg.hash_buckets = parse_num(value(&mut it, "--buckets")?, "--buckets")?;
-            }
-            "--seed" => {
-                cfg.seed = parse_num(value(&mut it, "--seed")?, "--seed")?;
-                seed_named = true;
-            }
-            "--seeds" => {
-                let n = parse_num(value(&mut it, "--seeds")?, "--seeds")?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                seeds = Some((1..=n).collect());
-            }
+            "--scheme" => cfg.scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
+            "--cores" => cfg.cores = flag_value(&mut it, flag)?,
+            "--requests" => cfg.requests = flag_value(&mut it, flag)?,
+            "--read-pct" => cfg.read_pct = flag_value(&mut it, flag)?,
+            "--mean-gap" => cfg.mean_gap = flag_value(&mut it, flag)?,
+            "--zipf" => cfg.zipf_theta = flag_value(&mut it, flag)?,
+            "--keyspace" => cfg.keyspace = flag_value(&mut it, flag)?,
+            "--buckets" => cfg.hash_buckets = flag_value(&mut it, flag)?,
+            "--seed" => cfg.seed = flag_value(&mut it, flag)?,
             "--channels" => {
-                cfg.channels = parse_num(value(&mut it, "--channels")?, "--channels")? as usize;
-                if cfg.channels == 0 || !cfg.channels.is_power_of_two() {
+                cfg.channels = flag_value(&mut it, flag)?;
+                if !cfg.channels.is_power_of_two() {
                     return Err(ArgError("--channels must be a power of two".into()));
                 }
             }
             "--run-threads" => {
-                cfg.run_threads =
-                    parse_num(value(&mut it, "--run-threads")?, "--run-threads")? as usize;
+                cfg.run_threads = flag_value(&mut it, flag)?;
                 if cfg.run_threads == 0 {
                     return Err(ArgError("--run-threads must be at least 1".into()));
                 }
             }
-            "--degraded" => {
-                cfg.degraded_bank =
-                    Some(parse_num(value(&mut it, "--degraded")?, "--degraded")? as usize);
-            }
-            "--fault" => {
-                let f = value(&mut it, "--fault")?;
-                fault = Some(if f.eq_ignore_ascii_case("none") {
-                    vec![None]
-                } else {
-                    vec![Some(FaultClass::parse(&f).ok_or_else(|| {
-                        ArgError(format!(
-                            "unknown fault `{f}` (expected none or one of: {})",
-                            FaultClass::ALL.map(FaultClass::name).join(" ")
-                        ))
-                    })?)]
-                });
-            }
-            "--point" => point = Some(parse_num(value(&mut it, "--point")?, "--point")?),
+            "--degraded" => cfg.degraded_bank = Some(flag_value(&mut it, flag)?),
             "--json" => {} // Report::emit picks this up from the process args.
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
-    }
-
-    if torture {
-        if seeds.is_none() && seed_named {
-            seeds = Some(vec![cfg.seed]);
-        }
-        return cmd_serve_torture(&cfg, structure_named, fault, point, seeds);
-    }
-    if fault.is_some() || point.is_some() {
-        return Err(ArgError("--fault/--point only apply with --torture".into()));
     }
 
     cfg.validate().map_err(|e| ArgError(e.to_string()))?;
@@ -875,97 +556,6 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
     ));
     rep.emit();
     Ok(())
-}
-
-/// The `--torture` arm of `cmd_serve`.
-fn cmd_serve_torture(
-    cfg: &ServeConfig,
-    structure_named: bool,
-    fault: Option<Vec<Option<FaultClass>>>,
-    point: Option<u64>,
-    seeds: Option<Vec<u64>>,
-) -> Result<(), ArgError> {
-    use supermem::torture::Classification;
-
-    let mut tc = ServeTortureConfig {
-        schemes: vec![cfg.scheme],
-        point,
-        ..ServeTortureConfig::default()
-    };
-    if structure_named {
-        tc.structures = vec![cfg.structure];
-    }
-    if let Some(classes) = fault {
-        tc.classes = classes;
-    }
-    if let Some(s) = seeds {
-        tc.seeds = s;
-    }
-
-    let report = run_serve_torture(&tc);
-    let mut t = TextTable::new(
-        [
-            "structure",
-            "cases",
-            "recovered-old",
-            "recovered-new",
-            "detected",
-            "silent",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
-    for &structure in &tc.structures {
-        let of = |c: Classification| {
-            report
-                .results
-                .iter()
-                .filter(|r| r.case.structure == structure && r.classification == c)
-                .count()
-        };
-        t.row(vec![
-            structure.to_string(),
-            report
-                .results
-                .iter()
-                .filter(|r| r.case.structure == structure)
-                .count()
-                .to_string(),
-            of(Classification::RecoveredOld).to_string(),
-            of(Classification::RecoveredNew).to_string(),
-            of(Classification::Detected).to_string(),
-            of(Classification::Silent).to_string(),
-        ]);
-    }
-    let mut rep = Report::new("serve-torture");
-    rep.section(
-        "CAS-window crash torture: crash point x fault class x seed",
-        t,
-    );
-    rep.footnote(&format!(
-        "{} injections across {} structure(s), {} fault class(es), {} seed(s)",
-        report.total(),
-        tc.structures.len(),
-        tc.classes.len(),
-        tc.seeds.len()
-    ));
-    rep.footnote("(crash points land between announce, node persist, linearizing CAS, completion)");
-    rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
 }
 
 /// One named figure configuration the checker sweeps: a batch of runs
@@ -1487,7 +1077,7 @@ pub fn cmd_list() {
 pub fn cmd_kv(argv: &[String]) -> Result<(), ArgError> {
     match argv.first().map(String::as_str) {
         Some("run") => cmd_kv_run(&argv[1..]),
-        Some("torture") => cmd_kv_torture(&argv[1..]),
+        Some("torture") => campaign::<KvTortureConfig>(&argv[1..]),
         Some("recover") => cmd_kv_recover(&argv[1..]),
         Some(other) => Err(ArgError(format!(
             "unknown kv subcommand `{other}` (expected run, torture, or recover)"
@@ -1498,17 +1088,6 @@ pub fn cmd_kv(argv: &[String]) -> Result<(), ArgError> {
     }
 }
 
-fn kv_value(it: &mut std::slice::Iter<String>, flag: &str) -> Result<String, ArgError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-}
-
-fn kv_parse<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, ArgError> {
-    raw.parse()
-        .map_err(|_| ArgError(format!("invalid {flag} `{raw}`")))
-}
-
 fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
     let mut scheme = Scheme::SuperMem;
     let mut requests: u64 = 2000;
@@ -1516,27 +1095,25 @@ fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
     let mut snapshot_every: u64 = 64;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => scheme = parse_scheme(&kv_value(&mut it, "--scheme")?)?,
-            "--requests" => requests = kv_parse(&kv_value(&mut it, "--requests")?, "--requests")?,
+        let flag = arg.as_str();
+        match flag {
+            "--scheme" => scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
+            "--requests" => requests = flag_value(&mut it, flag)?,
             "--read-pct" => {
-                spec.read_pct = kv_parse(&kv_value(&mut it, "--read-pct")?, "--read-pct")?;
+                spec.read_pct = flag_value(&mut it, flag)?;
                 if spec.read_pct > 100 {
                     return Err(ArgError("--read-pct must be 0..=100".into()));
                 }
             }
-            "--zipf" => spec.zipf_theta = kv_parse(&kv_value(&mut it, "--zipf")?, "--zipf")?,
+            "--zipf" => spec.zipf_theta = flag_value(&mut it, flag)?,
             "--keyspace" => {
-                spec.keyspace = kv_parse(&kv_value(&mut it, "--keyspace")?, "--keyspace")?;
+                spec.keyspace = flag_value(&mut it, flag)?;
                 if spec.keyspace == 0 {
                     return Err(ArgError("--keyspace must be at least 1".into()));
                 }
             }
-            "--snapshot-every" => {
-                snapshot_every =
-                    kv_parse(&kv_value(&mut it, "--snapshot-every")?, "--snapshot-every")?;
-            }
-            "--seed" => spec.seed = kv_parse(&kv_value(&mut it, "--seed")?, "--seed")?,
+            "--snapshot-every" => snapshot_every = flag_value(&mut it, flag)?,
+            "--seed" => spec.seed = flag_value(&mut it, flag)?,
             "--json" => {}
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
@@ -1600,116 +1177,17 @@ fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
     verify.map_err(|e| ArgError(format!("kv verify failed: {e}")))
 }
 
-fn cmd_kv_torture(argv: &[String]) -> Result<(), ArgError> {
-    let mut cfg = KvTortureConfig::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => cfg.schemes = vec![parse_scheme(&kv_value(&mut it, "--scheme")?)?],
-            "--fault" => {
-                let f = kv_value(&mut it, "--fault")?;
-                cfg.classes = if f.eq_ignore_ascii_case("none") {
-                    vec![None]
-                } else {
-                    vec![Some(FaultClass::parse(&f).ok_or_else(|| {
-                        ArgError(format!(
-                            "unknown fault `{f}` (expected none or one of: {})",
-                            FaultClass::ALL.map(FaultClass::name).join(" ")
-                        ))
-                    })?)]
-                };
-            }
-            "--point" => cfg.point = Some(kv_parse(&kv_value(&mut it, "--point")?, "--point")?),
-            "--seed" => cfg.seeds = vec![kv_parse(&kv_value(&mut it, "--seed")?, "--seed")?],
-            "--seeds" => {
-                let n: u64 = kv_parse(&kv_value(&mut it, "--seeds")?, "--seeds")?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                cfg.seeds = (1..=n).collect();
-            }
-            "--channels" => {
-                let n: usize = kv_parse(&kv_value(&mut it, "--channels")?, "--channels")?;
-                if n == 0 || !n.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-                cfg.channels = vec![n];
-            }
-            "--json" => {}
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
-
-    let report = kv_run_torture(&cfg);
-
-    let mut t = TextTable::new(
-        [
-            "scheme",
-            "cases",
-            "recovered-committed",
-            "lost-unacked-tail",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
-    for s in report.by_scheme() {
-        t.row(vec![
-            s.scheme.name().to_owned(),
-            s.cases.to_string(),
-            s.committed.to_string(),
-            s.lost_tail.to_string(),
-            s.detected.to_string(),
-            s.silent.to_string(),
-            s.verdict().to_owned(),
-        ]);
-    }
-    let mut rep = Report::new("kvtorture");
-    rep.section("KV crash torture: crash point x fault class x seed", t);
-    rep.footnote(&format!(
-        "{} injections across {} scheme(s), {} fault class(es), {} seed(s)",
-        report.total(),
-        cfg.schemes.len(),
-        cfg.classes.len(),
-        cfg.seeds.len()
-    ));
-    rep.footnote(
-        "(lost-unacked-tail = only never-acknowledged ops missing; detected = degraded but \
-         flagged by a typed error, the recovery report, or ECC/poison/dirty-shutdown)",
-    );
-    rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-        let mut min = r.case;
-        min.point = kv_shrink_point(&r.case);
-        eprintln!("  minimal repro: {}", min.repro());
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
-}
-
 fn cmd_kv_recover(argv: &[String]) -> Result<(), ArgError> {
     let mut scheme = Scheme::SuperMem;
     let mut seed: u64 = 1;
     let mut point: Option<u64> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => scheme = parse_scheme(&kv_value(&mut it, "--scheme")?)?,
-            "--seed" => seed = kv_parse(&kv_value(&mut it, "--seed")?, "--seed")?,
-            "--point" => point = Some(kv_parse(&kv_value(&mut it, "--point")?, "--point")?),
+        let flag = arg.as_str();
+        match flag {
+            "--scheme" => scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
+            "--seed" => seed = flag_value(&mut it, flag)?,
+            "--point" => point = Some(flag_value(&mut it, flag)?),
             "--json" => {}
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
@@ -1729,7 +1207,7 @@ fn cmd_kv_recover(argv: &[String]) -> Result<(), ArgError> {
     let mut t = TextTable::new(["field", "value"].map(str::to_owned).to_vec());
     t.row(vec!["crash point".into(), format!("{point} of {total}")]);
     t.row(vec!["classification".into(), r.classification.to_string()]);
-    match &r.recovery {
+    match &r.evidence {
         Some(rec) => {
             t.row(vec![
                 "snapshot".into(),

@@ -81,8 +81,8 @@ pub use scheme::Scheme;
 pub use sweep::{run_batch, sweep, thread_budget, worker_count};
 pub use system::{System, SystemBuilder};
 pub use torture::{
-    run_torture, run_tree_torture, Classification, TortureCase, TortureConfig, TortureReport,
-    TreeFault, TreeTortureCase, TreeTortureConfig, TreeTortureReport, TORTURE_SCHEMES,
+    Classification, TortureCase, TortureConfig, TreeFault, TreeTortureCase, TreeTortureConfig,
+    TORTURE_SCHEMES,
 };
 pub use verify::{
     check_run, check_run_trace, run_mutant, run_mutant_sharded, CheckReport, Checker, CheckerMode,

@@ -73,6 +73,23 @@ impl Scheme {
         }
     }
 
+    /// Parses a scheme name (paper labels and their aliases,
+    /// case-insensitive).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.to_ascii_lowercase().as_str() {
+            "unsec" => Some(Scheme::Unsec),
+            "wb" | "writeback" | "ideal" => Some(Scheme::WriteBackIdeal),
+            "wt" | "writethrough" => Some(Scheme::WriteThrough),
+            "wt+cwc" | "cwc" => Some(Scheme::WtCwc),
+            "wt+xbank" | "xbank" => Some(Scheme::WtXbank),
+            "supermem" => Some(Scheme::SuperMem),
+            "wt+samebank" | "samebank" => Some(Scheme::WtSameBank),
+            "osiris" => Some(Scheme::Osiris),
+            "sca" => Some(Scheme::Sca),
+            _ => None,
+        }
+    }
+
     /// Applies the scheme's knobs to a configuration.
     pub fn apply(self, mut cfg: Config) -> Config {
         match self {

@@ -1,91 +1,91 @@
-//! Differential crash-torture engine (robustness campaign).
+//! One differential crash-torture harness, and the subjects it attacks.
 //!
-//! Every scheme claims some crash-consistency story; this module attacks
-//! those claims with *media faults* layered on top of the crash model:
-//! torn write-queue drains, bit flips under a SECDED ECC model, stuck-at
-//! cells, transient read failures, and whole-bank fail-stops (see
-//! [`supermem_nvm::fault`]). A torture campaign sweeps
-//! crash-point × fault-class × seed across schemes in parallel (via
-//! [`mod@crate::sweep`]), recovers every resulting image, and differentially
-//! checks the recovered bytes against a shadow oracle holding the only
-//! two legal states — the pre-transaction and post-transaction images.
+//! Every scheme claims some crash-consistency story; a torture campaign
+//! attacks those claims with *media faults* layered on top of the crash
+//! model: torn write-queue drains, bit flips under a SECDED ECC model,
+//! stuck-at cells, transient read failures, and whole-bank fail-stops
+//! (see [`supermem_nvm::fault`]). The harness is shared by four
+//! [`Subject`]s: the undo-logged transaction ([`TortureConfig`]), the
+//! streaming integrity tree ([`TreeTortureConfig`]), the lock-free served
+//! structures (`supermem_serve::torture`) and the KV store
+//! (`supermem_kv::torture`). It owns everything they have in common:
 //!
-//! Each case is classified ([`Classification`]):
+//! * **Enumeration.** A fault-free dry run per group counts the crash
+//!   points ([`crash_points`]); `--point` clamps to one of them; points
+//!   are crossed with the subject's faults and seeds ([`cases`]) and fan
+//!   out over the parallel sweep engine ([`mod@crate::sweep`]), results
+//!   in input order ([`run`]).
+//! * **Run to crash** ([`crash_image`]). Arm the crash after N appends,
+//!   plan a power-event fault, run the workload, take the machine crash
+//!   image (or shut down cleanly and image that), then strike a media
+//!   fault on the settled image.
+//! * **Recovery and the signal gate** ([`recover_image`],
+//!   [`RecoveredImage::signals`]). Osiris trial decryption where the
+//!   scheme relaxes counter persistence, the integrity-checked rebuild
+//!   otherwise; wrong data is *detected* only if a hardware-observable
+//!   signal fired, and SILENT if not.
+//! * **Reports, tallies and shrinking** ([`Report`], [`shrink`]), and the
+//!   command-line grammar every campaign shares ([`parse`]).
 //!
-//! * **recovered-old / recovered-new** — the data matches one oracle
-//!   state exactly: crash consistency held.
-//! * **detected** — recovery refused (a typed
+//! A subject supplies only what differs: its machine per group, its base
+//! state and workload, its oracle and judge, its [`Fault`] axis, and its
+//! spelling. Each case is classified by the subject's [`Verdict`];
+//! [`Classification`] serves the three subjects whose oracle holds
+//! exactly two legal states:
+//!
+//! * **recovered-old / recovered-new**: the data matches one oracle state
+//!   exactly; crash consistency held.
+//! * **detected**: recovery refused (a typed
 //!   [`RecoveryError`](supermem_persist::RecoveryError)) or the data is
 //!   wrong *and* a hardware-observable signal fired: an ECC detection, a
 //!   poisoned read, an Osiris unrecoverable line, or the NVDIMM
 //!   dirty-shutdown flag (real DIMMs latch a "last shutdown state" bit
 //!   when the ADR drain does not complete; torn or dropped drain entries
 //!   set the modeled equivalent). Degraded but honest.
-//! * **silent** — the data is neither oracle state and nothing noticed.
+//! * **silent**: the data is neither oracle state and nothing noticed.
 //!   This is silent corruption, the one unacceptable outcome; the
-//!   campaign fails and [`shrink_point`] produces a minimal reproducer.
-//!
-//! The application-level companion campaign lives in
-//! `supermem_kv::torture`: the same crash arming, fault planning, and
-//! image capture, but judged against a KV store's shadow oracle of
-//! acknowledged operations (`supermem kv torture`).
+//!   campaign fails and [`shrink`] produces a minimal reproducer.
 //!
 //! # Examples
 //!
 //! ```
-//! use supermem::torture::{run_torture, Classification, TortureConfig};
+//! use supermem::torture::{run, TortureConfig};
 //!
 //! let mut cfg = TortureConfig::default();
 //! cfg.schemes = vec![supermem::Scheme::SuperMem];
 //! cfg.seeds = vec![1];
-//! let report = run_torture(&cfg);
+//! let report = run(&cfg);
 //! assert!(report.silent().is_empty(), "no silent corruption");
 //! assert!(report.total() > 0);
 //! ```
 
+use std::fmt::{Debug, Display};
+use std::str::FromStr;
+
+use supermem_memctrl::MachineCrashImage;
 use supermem_nvm::{FaultClass, FaultSpec};
-use supermem_persist::{
-    recover_osiris, recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager,
-};
+use supermem_persist::{recover_osiris, DirectMem, RecoveredMemory};
 use supermem_sim::Config;
 
+use crate::metrics::TextTable;
 use crate::scheme::Scheme;
 use crate::sweep::sweep;
 
-/// Address of the data region the tortured transaction mutates.
-pub const DATA_ADDR: u64 = 0x2000;
-/// Address of the undo log.
-pub const LOG_ADDR: u64 = 0x10_0000;
-/// Bytes mutated per transaction.
-pub const DATA_LEN: usize = 256;
+mod data;
+mod tree;
 
-const OLD_BYTE: u8 = 0x11;
-const NEW_BYTE: u8 = 0x22;
+pub use data::{
+    oracle_state, TortureCase, TortureConfig, DATA_ADDR, DATA_LEN, LOG_ADDR, TORTURE_SCHEMES,
+};
+pub use tree::{tree_torture_config, TreeFault, TreeTortureCase, TreeTortureConfig};
 
-/// Schemes the campaign sweeps by default: every evaluated configuration
-/// except SCA, which by design does not persist its counters (the paper
-/// pairs it with a full-memory re-encryption sweep at recovery, which
-/// this harness does not model), so a differential check against live
-/// data is meaningless for it.
-pub const TORTURE_SCHEMES: [Scheme; 8] = [
-    Scheme::Unsec,
-    Scheme::WriteBackIdeal,
-    Scheme::WriteThrough,
-    Scheme::WtCwc,
-    Scheme::WtXbank,
-    Scheme::SuperMem,
-    Scheme::WtSameBank,
-    Scheme::Osiris,
-];
-
-/// What a torture case amounted to after recovery and the differential
-/// check.
+/// What a case with a two-state oracle amounted to after recovery and
+/// the differential check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Classification {
-    /// The pre-transaction state survived intact (rollback or early
-    /// crash).
+    /// The pre-workload state survived intact (rollback or early crash).
     RecoveredOld,
-    /// The post-transaction state survived intact (commit completed).
+    /// The post-workload state survived intact (the workload completed).
     RecoveredNew,
     /// The state is degraded but the damage was *detected*: recovery
     /// returned a typed error, or a hardware-observable fault signal
@@ -114,73 +114,189 @@ impl std::fmt::Display for Classification {
     }
 }
 
-/// One fully determined torture case: scheme, optional fault (None is
-/// the no-fault baseline), crash point, and injection seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TortureCase {
-    /// Scheme under torture.
-    pub scheme: Scheme,
-    /// Fault class to inject, or `None` for the crash-only baseline.
-    pub class: Option<FaultClass>,
-    /// Crash after this many write-queue appends (1-based,
-    /// machine-wide across channels).
-    pub point: u64,
-    /// Seed fixing every choice the injection makes.
-    pub seed: u64,
-    /// Interleaved memory channels (power of two; 1 = the paper's
-    /// single controller).
-    pub channels: usize,
+impl Verdict for Classification {
+    const ALL: [Self; 4] = [
+        Classification::RecoveredOld,
+        Classification::RecoveredNew,
+        Classification::Detected,
+        Classification::Silent,
+    ];
 }
 
-impl TortureCase {
-    /// The CLI invocation reproducing exactly this case.
-    pub fn repro(&self) -> String {
-        let mut line = format!(
-            "supermem torture --scheme {} --fault {} --point {} --seed {}",
-            self.scheme.name().to_ascii_lowercase(),
-            self.class.map_or("none", FaultClass::name),
-            self.point,
-            self.seed
-        );
-        if self.channels != 1 {
-            line.push_str(&format!(" --channels {}", self.channels));
+/// A subject's classification of one case.
+pub trait Verdict: Copy + Eq + Debug + Display + Send + Sync + 'static {
+    /// Every classification in tally-column order: the subject's two
+    /// clean outcomes, then detected, then SILENT. The column headings
+    /// are the display spellings, lower-cased.
+    const ALL: [Self; 4];
+}
+
+fn detected<K: Verdict>() -> K {
+    K::ALL[2]
+}
+
+fn silent<K: Verdict>() -> K {
+    K::ALL[3]
+}
+
+/// One axis of injectable faults.
+pub trait Fault: Copy + PartialEq + Debug + Send + Sync + 'static {
+    /// Every fault on the axis, crash-only baseline first: a campaign's
+    /// default axis and the vocabulary `--fault` accepts.
+    fn all() -> Vec<Self>;
+    /// Stable CLI spelling.
+    fn name(self) -> &'static str;
+    /// The plan armed in the controller for a fault that strikes *at*
+    /// the power event, inside the controller's crash snapshot.
+    fn plan(self, seed: u64) -> Option<FaultSpec>;
+    /// Strikes the settled crash image, for a fault that lands after the
+    /// power event.
+    fn strike(self, seed: u64, machine: &mut MachineCrashImage);
+}
+
+/// The data, serve and KV fault axis: `None` is the crash-only baseline.
+impl Fault for Option<FaultClass> {
+    fn all() -> Vec<Self> {
+        std::iter::once(None)
+            .chain(FaultClass::ALL.map(Some))
+            .collect()
+    }
+
+    fn name(self) -> &'static str {
+        self.map_or("none", FaultClass::name)
+    }
+
+    fn plan(self, seed: u64) -> Option<FaultSpec> {
+        // Torn drains and bank fail-stops happen at the power event.
+        self.filter(|c| c.is_power_event())
+            .map(|class| FaultSpec { class, seed })
+    }
+
+    fn strike(self, seed: u64, machine: &mut MachineCrashImage) {
+        // Media strikes (flips, stuck cells, transients) land on the
+        // settled image, after the dust of the crash — on one
+        // seed-chosen channel, mirroring the single fault plan a power
+        // event leaves behind.
+        if let Some(class) = self.filter(|c| !c.is_power_event()) {
+            let ch = (seed as usize) % machine.channels.len();
+            machine.channels[ch]
+                .store
+                .strike_faults(FaultSpec { class, seed });
         }
-        line
     }
 }
 
-/// The outcome of one executed [`TortureCase`].
+/// One crash-torture subject: a campaign configuration that knows how to
+/// build, crash, recover and judge its workload. The harness does the
+/// rest.
+pub trait Subject: Sync + Sized {
+    /// Everything a case fixes besides its fault, crash point and seed.
+    type Group: Copy;
+    /// The fault axis.
+    type Fault: Fault;
+    /// One fully determined case.
+    type Case: Copy + PartialEq + Debug + Send + Sync;
+    /// How the judge classifies a case.
+    type Class: Verdict;
+    /// The durable pre-workload state every case of a group clones.
+    type Base: Clone;
+    /// What the judge checks a recovered image against.
+    type Oracle;
+    /// Evidence the judge returns beside its classification.
+    type Evidence: Default + Clone + Debug + Send;
+
+    /// Report name (the `--json` `name` field).
+    const NAME: &'static str;
+    /// Title of the tally table.
+    const TITLE: &'static str;
+    /// Heading of the tally table's group column, and the footnote's
+    /// noun for the group axis.
+    const AXIS: &'static str;
+    /// The footnote's noun for the fault axis, plural suffix included.
+    const FAULTS: &'static str;
+    /// The footnote explaining the table.
+    const LEGEND: &'static str;
+    /// Whether the tally table ends in a verdict column.
+    const VERDICT_COLUMN: bool;
+    /// The valueless flag that routes a command line to this subject.
+    const MARKER: Option<&'static str>;
+    /// The group flags this subject takes besides the shared `--fault`,
+    /// `--point`, `--seed` and `--seeds`.
+    const FLAGS: &'static [&'static str];
+
+    /// The subject's default campaign, overridden by `flags`.
+    fn configure(flags: Flags<Self::Fault>) -> Result<Self, String>;
+    /// Groups in sweep order, each with the seeds it runs (innermost).
+    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)>;
+    /// The faults every crash point is crossed with.
+    fn faults(&self) -> &[Self::Fault];
+    /// The campaign's seed list.
+    fn seeds(&self) -> &[u64];
+    /// The single crash point to run, if set (clamped to each group's).
+    fn point(&self) -> Option<u64>;
+    /// Entries on the group axis, as the footnote counts them.
+    fn axis_len(&self) -> usize;
+
+    /// Assembles a case.
+    fn case(group: Self::Group, fault: Self::Fault, point: u64, seed: u64) -> Self::Case;
+    /// Takes a case apart: `(group, fault, point, seed)`.
+    fn parts(case: &Self::Case) -> (Self::Group, Self::Fault, u64, u64);
+    /// The tally-table row a case counts toward.
+    fn label(case: &Self::Case) -> String;
+    /// The CLI invocation reproducing exactly this case.
+    fn repro(case: &Self::Case) -> String;
+
+    /// The machine a group runs on.
+    fn machine(group: Self::Group) -> Config;
+    /// The durable state the workload starts from.
+    fn base(cfg: &Config, group: Self::Group) -> Self::Base;
+    /// The memory inside a state, where the crash is armed.
+    fn mem(state: &mut Self::Base) -> &mut DirectMem;
+    /// Runs the tortured workload of `seed` on `state`.
+    fn workload(&self, state: &mut Self::Base, group: Self::Group, seed: u64);
+    /// The shadow oracle of `seed`'s workload from `base`.
+    fn oracle(&self, base: &Self::Base, group: Self::Group, seed: u64) -> Self::Oracle;
+    /// Judges a recovered image against the oracle.
+    fn judge(
+        &self,
+        case: &Self::Case,
+        oracle: &Self::Oracle,
+        image: RecoveredImage,
+    ) -> (Self::Class, String, Self::Evidence);
+}
+
+/// The outcome of one executed case.
 #[derive(Debug, Clone)]
-pub struct CaseResult {
+pub struct CaseResult<S: Subject> {
     /// The case that ran.
-    pub case: TortureCase,
+    pub case: S::Case,
     /// How it was classified.
-    pub classification: Classification,
+    pub classification: S::Class,
     /// Human-readable evidence for the classification.
     pub detail: String,
+    /// The subject's own evidence (default when recovery refused before
+    /// the judge ran).
+    pub evidence: S::Evidence,
 }
 
-/// Per-scheme tally of classifications.
-#[derive(Debug, Clone, Copy)]
-pub struct SchemeSummary {
-    /// The scheme being summarized.
-    pub scheme: Scheme,
-    /// Total cases run against it.
-    pub cases: u64,
-    /// Cases classified [`Classification::RecoveredOld`].
-    pub recovered_old: u64,
-    /// Cases classified [`Classification::RecoveredNew`].
-    pub recovered_new: u64,
-    /// Cases classified [`Classification::Detected`].
-    pub detected: u64,
-    /// Cases classified [`Classification::Silent`].
-    pub silent: u64,
+/// One row of a campaign's tally table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tally {
+    /// The group's row label.
+    pub label: String,
+    /// Cases per classification, in [`Verdict::ALL`] order.
+    pub counts: [u64; 4],
 }
 
-impl SchemeSummary {
-    /// One-word verdict for the summary table.
+impl Tally {
+    /// Total cases in the row.
+    pub fn cases(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// One-word verdict for the row.
     pub fn verdict(&self) -> &'static str {
-        if self.silent > 0 {
+        if self.counts[3] > 0 {
             "SILENT CORRUPTION"
         } else {
             "fail-safe"
@@ -188,571 +304,372 @@ impl SchemeSummary {
     }
 }
 
-/// Everything a torture campaign produced.
+/// Everything a campaign produced.
 #[derive(Debug, Clone)]
-pub struct TortureReport {
+pub struct Report<S: Subject> {
     /// Every executed case, in sweep (input) order.
-    pub results: Vec<CaseResult>,
+    pub results: Vec<CaseResult<S>>,
 }
 
-impl TortureReport {
+impl<S: Subject> Report<S> {
     /// Total number of injections executed.
     pub fn total(&self) -> u64 {
         self.results.len() as u64
     }
 
     /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&CaseResult> {
+    pub fn silent(&self) -> Vec<&CaseResult<S>> {
         self.results
             .iter()
-            .filter(|r| r.classification == Classification::Silent)
+            .filter(|r| r.classification == silent())
             .collect()
     }
 
     /// Count of cases with the given classification.
-    pub fn count(&self, c: Classification) -> u64 {
+    pub fn count(&self, c: S::Class) -> u64 {
         self.results
             .iter()
             .filter(|r| r.classification == c)
             .count() as u64
     }
 
-    /// Per-scheme tallies, in first-seen order.
-    pub fn by_scheme(&self) -> Vec<SchemeSummary> {
-        let mut out: Vec<SchemeSummary> = Vec::new();
+    /// Per-row tallies, in first-seen order.
+    pub fn tallies(&self) -> Vec<Tally> {
+        let mut out: Vec<Tally> = Vec::new();
         for r in &self.results {
-            if !out.iter().any(|s| s.scheme == r.case.scheme) {
-                out.push(SchemeSummary {
-                    scheme: r.case.scheme,
-                    cases: 0,
-                    recovered_old: 0,
-                    recovered_new: 0,
-                    detected: 0,
-                    silent: 0,
-                });
-            }
-            let entry = out
-                .iter_mut()
-                .find(|s| s.scheme == r.case.scheme)
-                .expect("present by construction");
-            entry.cases += 1;
-            match r.classification {
-                Classification::RecoveredOld => entry.recovered_old += 1,
-                Classification::RecoveredNew => entry.recovered_new += 1,
-                Classification::Detected => entry.detected += 1,
-                Classification::Silent => entry.silent += 1,
-            }
+            let label = S::label(&r.case);
+            let row = match out.iter().position(|t| t.label == label) {
+                Some(row) => row,
+                None => {
+                    out.push(Tally {
+                        label,
+                        counts: [0; 4],
+                    });
+                    out.len() - 1
+                }
+            };
+            let col = S::Class::ALL
+                .iter()
+                .position(|&c| c == r.classification)
+                .unwrap_or(3);
+            out[row].counts[col] += 1;
         }
         out
     }
-}
 
-/// Campaign shape: which schemes, which fault classes (with `None` as
-/// the crash-only baseline), which seeds, and optionally a single fixed
-/// crash point instead of the full sweep.
-#[derive(Debug, Clone)]
-pub struct TortureConfig {
-    /// Schemes to torture.
-    pub schemes: Vec<Scheme>,
-    /// Fault classes; `None` entries run the crash-only baseline.
-    pub classes: Vec<Option<FaultClass>>,
-    /// Injection seeds; each (scheme, class, point) runs once per seed.
-    pub seeds: Vec<u64>,
-    /// Restrict the sweep to this single crash point, if set.
-    pub point: Option<u64>,
-    /// Channel counts to sweep. Channel counts above 1 run only the
-    /// schemes whose multi-channel behavior the campaign certifies
-    /// (SuperMem and WriteThrough) when more than one count is listed.
-    pub channels: Vec<usize>,
-}
-
-impl Default for TortureConfig {
-    fn default() -> Self {
-        let mut classes: Vec<Option<FaultClass>> = vec![None];
-        classes.extend(FaultClass::ALL.into_iter().map(Some));
-        Self {
-            schemes: TORTURE_SCHEMES.to_vec(),
-            classes,
-            seeds: vec![1, 2],
-            point: None,
-            channels: vec![1, 2],
+    /// The tally table: one row per group label, a column per
+    /// classification.
+    pub fn table(&self) -> TextTable {
+        let mut headers = vec![S::AXIS.to_owned(), "cases".to_owned()];
+        headers.extend(S::Class::ALL.map(|c| c.to_string().to_ascii_lowercase()));
+        if S::VERDICT_COLUMN {
+            headers.push("verdict".to_owned());
         }
+        let mut t = TextTable::new(headers);
+        for tally in self.tallies() {
+            let mut row = vec![tally.label.clone(), tally.cases().to_string()];
+            row.extend(tally.counts.map(|n| n.to_string()));
+            if S::VERDICT_COLUMN {
+                row.push(tally.verdict().to_owned());
+            }
+            t.row(row);
+        }
+        t
+    }
+
+    /// The campaign-size footnote.
+    pub fn footnote(&self, subject: &S) -> String {
+        format!(
+            "{} injections across {} {}(s), {} {}, {} seed(s)",
+            self.total(),
+            subject.axis_len(),
+            S::AXIS,
+            subject.faults().len(),
+            S::FAULTS,
+            subject.seeds().len()
+        )
     }
 }
 
-fn old_image() -> [u8; DATA_LEN] {
-    [OLD_BYTE; DATA_LEN]
+/// Number of write-queue append boundaries the workload of `seed`
+/// crosses in `group` (the final shutdown drain included): the crash
+/// points the sweep visits, counted by a fault-free dry run.
+pub fn crash_points<S: Subject>(subject: &S, group: S::Group, seed: u64) -> u64 {
+    let mut dry = S::base(&S::machine(group), group);
+    let before = S::mem(&mut dry).controller().append_events();
+    subject.workload(&mut dry, group, seed);
+    let mem = S::mem(&mut dry);
+    mem.shutdown();
+    mem.controller().append_events() - before
 }
 
-fn new_image() -> [u8; DATA_LEN] {
-    [NEW_BYTE; DATA_LEN]
-}
-
-/// Builds the pre-transaction system: the old data durably persisted,
-/// queues drained.
-fn base_system(cfg: &Config) -> DirectMem {
-    let mut base = DirectMem::new(cfg);
-    base.persist(DATA_ADDR, &old_image());
-    base.shutdown();
-    base
-}
-
-/// The tortured workload: one durable undo-logged transaction flipping
-/// the data region from the old to the new oracle state.
-fn run_txn(mem: &mut DirectMem) {
-    let mut txm = TxnManager::new(LOG_ADDR, 4096);
-    let mut txn = txm.begin();
-    txn.write(DATA_ADDR, new_image().to_vec());
-    txn.commit(mem).expect("commit");
-}
-
-/// Number of write-queue append boundaries the torture transaction
-/// crosses under `scheme` with `channels` interleaved controllers —
-/// i.e. how many distinct crash points the sweep visits (a dry run, no
-/// faults).
-pub fn crash_points(scheme: Scheme, channels: usize) -> u64 {
-    let cfg = scheme.apply(Config::default()).with_channels(channels);
-    crash_points_for(&cfg)
-}
-
-fn crash_points_for(cfg: &Config) -> u64 {
-    let base = base_system(cfg);
-    let mut dry = base.clone();
-    let before = dry.controller().append_events();
-    run_txn(&mut dry);
-    dry.shutdown();
-    dry.controller().append_events() - before
-}
-
-/// Executes one torture case end to end: establish the old state, arm
-/// the crash, inject the fault, run the transaction, recover the image,
-/// and classify the result against the shadow oracle.
-pub fn run_case(tc: &TortureCase) -> CaseResult {
-    let cfg = tc
-        .scheme
-        .apply(Config::default())
-        .with_channels(tc.channels);
-    let spec = tc.class.map(|class| FaultSpec {
-        class,
-        seed: tc.seed,
-    });
-
-    let base = base_system(&cfg);
-    let mut mem = base.clone();
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let Some(spec) = spec {
-        if spec.class.is_power_event() {
-            // Torn drains and bank fail-stops happen *at* the power
-            // event, inside the controller's crash snapshot.
-            mem.controller_mut().set_fault_plan(spec);
+/// Every case of the campaign, in sweep order: per group, its faults ×
+/// crash points × seeds.
+pub fn cases<S: Subject>(subject: &S) -> Vec<S::Case> {
+    let mut cases = Vec::new();
+    for (group, seeds) in subject.groups() {
+        let Some(&first) = seeds.first() else {
+            continue;
+        };
+        let total = crash_points(subject, group, first);
+        let points: Vec<u64> = match subject.point() {
+            Some(p) => vec![p.clamp(1, total)],
+            None => (1..=total).collect(),
+        };
+        for &fault in subject.faults() {
+            for &point in &points {
+                cases.extend(seeds.iter().map(|&seed| S::case(group, fault, point, seed)));
+            }
         }
     }
-    run_txn(&mut mem);
+    cases
+}
 
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
-        // The armed point lies beyond the final append: the
-        // transaction completed. Finish cleanly and image that.
-        mem.shutdown();
-        mem.machine_crash_now()
+/// Runs the campaign: every case fans out over the parallel sweep engine,
+/// and results come back in input order.
+pub fn run<S: Subject>(subject: &S) -> Report<S> {
+    Report {
+        results: sweep(&cases(subject), |case| run_case(subject, case)),
+    }
+}
+
+/// Runs `case`'s workload from `base` to its crash and returns the
+/// machine crash image with the case's fault applied, and whether the
+/// armed crash fired (`false`: the workload finished first, and the
+/// image is of a clean shutdown).
+pub fn crash_image<S: Subject>(
+    subject: &S,
+    base: &S::Base,
+    case: &S::Case,
+) -> (MachineCrashImage, bool) {
+    let (group, fault, point, seed) = S::parts(case);
+    let mut state = base.clone();
+    let ctl = S::mem(&mut state).controller_mut();
+    ctl.arm_crash_after_appends(point);
+    if let Some(spec) = fault.plan(seed) {
+        ctl.set_fault_plan(spec);
+    }
+    subject.workload(&mut state, group, seed);
+    let mem = S::mem(&mut state);
+    let (mut machine, fired) = match mem.controller_mut().take_machine_crash_image() {
+        Some(m) => (m, true),
+        None => {
+            // The armed point lies beyond the final append: finish
+            // cleanly and image that.
+            mem.shutdown();
+            (mem.machine_crash_now(), false)
+        }
     };
-    if let Some(spec) = spec {
-        if !spec.class.is_power_event() {
-            // Media strikes (flips, stuck cells, transients) land on
-            // the settled image, after the dust of the crash — on one
-            // seed-chosen channel, mirroring the single fault plan a
-            // power event leaves behind.
-            let ch = (tc.seed as usize) % machine.channels.len();
-            machine.channels[ch].store.strike_faults(spec);
-        }
-    }
-
-    classify(tc, &cfg, machine)
+    fault.strike(seed, &mut machine);
+    (machine, fired)
 }
 
-fn classify(
-    tc: &TortureCase,
-    cfg: &Config,
-    machine: supermem_memctrl::MachineCrashImage,
-) -> CaseResult {
-    let (classification, detail) = classify_image(cfg, machine);
+/// Executes one case end to end: build the base, take the oracle, run to
+/// the crash, recover the image, and let the subject judge it.
+pub fn run_case<S: Subject>(subject: &S, case: &S::Case) -> CaseResult<S> {
+    let (group, _, _, seed) = S::parts(case);
+    let cfg = S::machine(group);
+    let base = S::base(&cfg, group);
+    let oracle = subject.oracle(&base, group, seed);
+    let (machine, _) = crash_image(subject, &base, case);
+    let (classification, detail, evidence) = match recover_image(&cfg, machine) {
+        Ok(image) => subject.judge(case, &oracle, image),
+        Err(detail) => (detected(), detail, S::Evidence::default()),
+    };
     CaseResult {
-        case: *tc,
+        case: *case,
         classification,
         detail,
+        evidence,
     }
 }
 
-/// Recovers `machine` and judges the result against the shadow oracle —
-/// the scheme-agnostic core shared by the main campaign and the
-/// integrity-tree campaign.
-fn classify_image(
-    cfg: &Config,
-    machine: supermem_memctrl::MachineCrashImage,
-) -> (Classification, String) {
-    let done = |classification, detail| (classification, detail);
-
-    // Recover counters first (Osiris trial decryption where the scheme
-    // relaxes counter persistence, integrity-checked rebuild otherwise),
-    // then replay/roll back the transaction log.
-    let (mut rec, osiris_unrecoverable) = if cfg.osiris_window.is_some() {
-        match recover_osiris(cfg, machine.merged()) {
-            Ok((rec, report)) => (rec, report.unrecoverable_lines),
-            Err(e) => {
-                return done(
-                    Classification::Detected,
-                    format!("osiris counter recovery refused: {e}"),
-                )
-            }
+/// Shrinks a case to the smallest crash point, by halving, that still
+/// reproduces its classification: the minimal reproducer of a failing
+/// case.
+pub fn shrink<S: Subject>(subject: &S, case: &S::Case) -> S::Case {
+    let target = run_case(subject, case).classification;
+    let (group, fault, point, seed) = S::parts(case);
+    let mut best = *case;
+    let mut probe = point / 2;
+    while probe >= 1 {
+        let smaller = S::case(group, fault, probe, seed);
+        if run_case(subject, &smaller).classification != target {
+            break;
         }
-    } else {
-        match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-            Ok(rec) => (rec, 0),
-            Err(e) => {
-                return done(
-                    Classification::Detected,
-                    format!("image rebuild refused: {e}"),
-                )
-            }
-        }
-    };
-    let outcome = match recover_transactions(&mut rec, LOG_ADDR) {
-        Ok(o) => o,
-        Err(e) => {
-            return done(
-                Classification::Detected,
-                format!("log recovery failed: {e}"),
-            )
-        }
-    };
-
-    // Differential check against the shadow oracle: the only two legal
-    // states are the pre- and post-transaction images.
-    let mut buf = [0u8; DATA_LEN];
-    rec.read(DATA_ADDR, &mut buf);
-    if buf == old_image() {
-        return done(
-            Classification::RecoveredOld,
-            format!("old state intact after {outcome:?}"),
-        );
+        best = smaller;
+        probe /= 2;
     }
-    if buf == new_image() {
-        return done(
-            Classification::RecoveredNew,
-            format!("new state intact after {outcome:?}"),
-        );
-    }
+    best
+}
 
-    // Wrong data: acceptable only if something noticed. `any_detected`
-    // covers ECC detections, poisoned/lost reads, and transient
-    // exhaustion; torn or dropped drain entries latch the modeled
-    // NVDIMM dirty-shutdown flag.
-    let fc = rec.store().fault_counters();
-    let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
-    if fc.any_detected() || dirty_shutdown || rec.media_failures() > 0 || osiris_unrecoverable > 0 {
-        return done(
-            Classification::Detected,
+/// A crash image with its counters recovered, ready for the subject's
+/// own recovery.
+pub struct RecoveredImage {
+    /// The recovered memory.
+    pub mem: RecoveredMemory,
+    /// Lines Osiris trial decryption could not recover (0 for schemes
+    /// that persist their counters strictly).
+    pub osiris_unrecoverable: u64,
+}
+
+impl RecoveredImage {
+    /// The detection-signal gate for wrong data. `Some(signals)` — the
+    /// case is *detected* — when a hardware-observable signal fired or the
+    /// subject's own `damage` flag is set; `None`, and the case is
+    /// SILENT, when nothing noticed. ECC detections, poisoned or lost
+    /// reads, transient exhaustion, media failures and Osiris
+    /// unrecoverable lines count; torn or dropped drain entries latch
+    /// the modeled NVDIMM dirty-shutdown flag.
+    pub fn signals(&self, damage: bool) -> Option<String> {
+        let fc = self.mem.store().fault_counters();
+        let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
+        let media = self.mem.media_failures();
+        let fired = fc.any_detected()
+            || dirty_shutdown
+            || media > 0
+            || self.osiris_unrecoverable > 0
+            || damage;
+        fired.then(|| {
             format!(
-                "degraded data with detection signals after {outcome:?}: \
-                 ecc_detections={} lost_reads={} transient_failures={} \
-                 torn_entries={} dropped_writes={} media_failures={} \
-                 osiris_unrecoverable={}",
+                "ecc_detections={} lost_reads={} transient_failures={} torn_entries={} \
+                 dropped_writes={} media_failures={media}",
                 fc.ecc_detections,
                 fc.lost_reads,
                 fc.transient_failures,
                 fc.torn_entries,
                 fc.dropped_writes,
-                rec.media_failures(),
-                osiris_unrecoverable
-            ),
-        );
-    }
-    done(
-        Classification::Silent,
-        format!("data is neither oracle state and nothing detected it (after {outcome:?})"),
-    )
-}
-
-/// Shrinks a failing case to the smallest crash point that still
-/// reproduces its classification — the torture analogue of the checker's
-/// transaction-count shrinking. Returns the minimal point.
-pub fn shrink_point(tc: &TortureCase) -> u64 {
-    let target = run_case(tc).classification;
-    let mut best = tc.point;
-    let mut probe = tc.point / 2;
-    while probe >= 1 {
-        let mut smaller = *tc;
-        smaller.point = probe;
-        if run_case(&smaller).classification == target {
-            best = probe;
-            probe /= 2;
-        } else {
-            break;
-        }
-    }
-    best
-}
-
-/// Runs the full campaign: for every scheme the crash points are counted
-/// with a dry run, then every (class, point, seed) combination fans out
-/// over the parallel sweep engine. Results come back in input order.
-pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
-    let mut cases: Vec<TortureCase> = Vec::new();
-    for &channels in &cfg.channels {
-        for &scheme in &cfg.schemes {
-            // In matrix mode the multi-channel columns certify only the
-            // schemes whose sharded behavior the campaign pins down.
-            if channels != 1
-                && cfg.channels.len() > 1
-                && !matches!(scheme, Scheme::SuperMem | Scheme::WriteThrough)
-            {
-                continue;
-            }
-            let total = crash_points(scheme, channels);
-            let points: Vec<u64> = match cfg.point {
-                Some(p) => vec![p.clamp(1, total)],
-                None => (1..=total).collect(),
-            };
-            for &class in &cfg.classes {
-                for &point in &points {
-                    for &seed in &cfg.seeds {
-                        cases.push(TortureCase {
-                            scheme,
-                            class,
-                            point,
-                            seed,
-                            channels,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let results = sweep(&cases, run_case);
-    TortureReport { results }
-}
-
-// ---------------------------------------------------------------------
-// Integrity-tree torture: media faults and active tampering aimed at the
-// persisted tree-node region of a streaming-tree machine.
-// ---------------------------------------------------------------------
-
-/// What the integrity-tree campaign injects into a crash image whose
-/// machine ran with the streaming tree armed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeFault {
-    /// Crash-only baseline: the streaming tree armed, nothing injected.
-    None,
-    /// A media fault. Power-event classes (torn drain, bank fail-stop)
-    /// strike *at* the crash — a fail-stopped bank takes its settled
-    /// tree-node lines with it. The others strike a seed-chosen
-    /// tree-node line on the settled image through the SECDED model.
-    Media(FaultClass),
-    /// An ECC-clean byte rewrite of one persisted node line — active
-    /// tampering that only the recovery-time tree audit can catch.
-    Tamper,
-}
-
-impl TreeFault {
-    /// Stable CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            TreeFault::None => "none",
-            TreeFault::Media(c) => c.name(),
-            TreeFault::Tamper => "tamper",
-        }
+            )
+        })
     }
 }
 
-impl std::fmt::Display for TreeFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One fully determined integrity-tree torture case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeTortureCase {
-    /// Persistence frontier of the tortured machine (`1..=height`;
-    /// level 0 would persist nothing and leave no tree region to hit).
-    pub levels: u32,
-    /// What to inject.
-    pub fault: TreeFault,
-    /// Crash after this many write-queue appends (1-based).
-    pub point: u64,
-    /// Seed fixing every choice the injection makes.
-    pub seed: u64,
-}
-
-impl TreeTortureCase {
-    /// The CLI invocation reproducing exactly this case.
-    pub fn repro(&self) -> String {
-        format!(
-            "supermem torture --tree --persisted-levels {} --fault {} --point {} --seed {}",
-            self.levels,
-            self.fault.name(),
-            self.point,
-            self.seed
-        )
-    }
-}
-
-/// The outcome of one executed [`TreeTortureCase`].
-#[derive(Debug, Clone)]
-pub struct TreeCaseResult {
-    /// The case that ran.
-    pub case: TreeTortureCase,
-    /// How it was classified.
-    pub classification: Classification,
-    /// Human-readable evidence for the classification.
-    pub detail: String,
-}
-
-/// Everything an integrity-tree campaign produced.
-#[derive(Debug, Clone)]
-pub struct TreeTortureReport {
-    /// Every executed case, in sweep (input) order.
-    pub results: Vec<TreeCaseResult>,
-}
-
-impl TreeTortureReport {
-    /// Total number of injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&TreeCaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == Classification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: Classification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
-    }
-}
-
-/// Campaign shape for the integrity-tree torture.
-#[derive(Debug, Clone)]
-pub struct TreeTortureConfig {
-    /// Persistence frontiers to torture (each `1..=height`).
-    pub levels: Vec<u32>,
-    /// Faults to inject; [`TreeFault::None`] is the crash-only baseline.
-    pub faults: Vec<TreeFault>,
-    /// Injection seeds.
-    pub seeds: Vec<u64>,
-    /// Restrict the sweep to this single crash point, if set.
-    pub point: Option<u64>,
-}
-
-impl Default for TreeTortureConfig {
-    fn default() -> Self {
-        let mut faults = vec![TreeFault::None, TreeFault::Tamper];
-        faults.extend(FaultClass::ALL.into_iter().map(TreeFault::Media));
-        Self {
-            levels: vec![1, 2],
-            faults,
-            seeds: vec![1, 2],
-            point: None,
-        }
-    }
-}
-
-/// The machine configuration a tree torture case runs: the full SuperMem
-/// scheme with the streaming integrity tree persisted to `levels`.
-pub fn tree_torture_config(levels: u32) -> Config {
-    let cfg = Scheme::SuperMem
-        .apply(Config::default())
-        .with_integrity_tree(true)
-        .with_persisted_levels(Some(levels));
-    #[allow(clippy::disallowed_methods)]
-    cfg.validate().expect("tree torture config is valid");
-    cfg
-}
-
-/// Executes one integrity-tree torture case end to end.
-pub fn run_tree_case(tc: &TreeTortureCase) -> TreeCaseResult {
-    let cfg = tree_torture_config(tc.levels);
-    let base = base_system(&cfg);
-    let mut mem = base.clone();
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let TreeFault::Media(class) = tc.fault {
-        if class.is_power_event() {
-            mem.controller_mut().set_fault_plan(FaultSpec {
-                class,
-                seed: tc.seed,
-            });
-        }
-    }
-    run_txn(&mut mem);
-
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
+/// Recovers counters from a crash image: Osiris trial decryption where
+/// the scheme relaxes counter persistence, the integrity-checked rebuild
+/// otherwise. A refusal is the detail of a *detected* case.
+pub fn recover_image(cfg: &Config, machine: MachineCrashImage) -> Result<RecoveredImage, String> {
+    if cfg.osiris_window.is_some() {
+        recover_osiris(cfg, machine.merged())
+            .map(|(mem, report)| RecoveredImage {
+                mem,
+                osiris_unrecoverable: report.unrecoverable_lines,
+            })
+            .map_err(|e| format!("osiris counter recovery refused: {e}"))
     } else {
-        mem.shutdown();
-        mem.machine_crash_now()
-    };
-    match tc.fault {
-        TreeFault::Media(class) if !class.is_power_event() => {
-            machine.channels[0].store.strike_tree_fault(FaultSpec {
-                class,
-                seed: tc.seed,
-            });
-        }
-        TreeFault::Tamper => {
-            machine.channels[0].store.tamper_tree_line(tc.seed);
-        }
-        _ => {}
-    }
-
-    let (classification, detail) = classify_image(&cfg, machine);
-    TreeCaseResult {
-        case: *tc,
-        classification,
-        detail,
+        RecoveredMemory::from_machine_image_checked(cfg, machine)
+            .map(|mem| RecoveredImage {
+                mem,
+                osiris_unrecoverable: 0,
+            })
+            .map_err(|e| format!("image rebuild refused: {e}"))
     }
 }
 
-/// Runs the integrity-tree campaign: crash points are counted with a dry
-/// run per frontier, then every (fault, point, seed) combination fans
-/// out over the parallel sweep engine.
-pub fn run_tree_torture(cfg: &TreeTortureConfig) -> TreeTortureReport {
-    let mut cases: Vec<TreeTortureCase> = Vec::new();
-    for &levels in &cfg.levels {
-        let total = crash_points_for(&tree_torture_config(levels));
-        let points: Vec<u64> = match cfg.point {
-            Some(p) => vec![p.clamp(1, total)],
-            None => (1..=total).collect(),
-        };
-        for &fault in &cfg.faults {
-            for &point in &points {
-                for &seed in &cfg.seeds {
-                    cases.push(TreeTortureCase {
-                        levels,
-                        fault,
-                        point,
-                        seed,
-                    });
-                }
+/// A campaign command line, parsed but not yet applied to a subject's
+/// defaults.
+#[derive(Debug, Clone)]
+pub struct Flags<F> {
+    /// `--scheme S`.
+    pub scheme: Option<Scheme>,
+    /// `--fault F`.
+    pub faults: Option<Vec<F>>,
+    /// `--point K`.
+    pub point: Option<u64>,
+    /// `--seed N` (that seed) or `--seeds COUNT` (seeds `1..=COUNT`).
+    pub seeds: Option<Vec<u64>>,
+    /// `--channels N`, a power of two.
+    pub channels: Option<usize>,
+    /// `--persisted-levels L`, at least 1.
+    pub levels: Option<u32>,
+    /// `--structure NAME`, as given.
+    pub structure: Option<String>,
+}
+
+/// Takes the next argument as `flag`'s value.
+pub fn flag_value<T: FromStr>(it: &mut std::slice::Iter<String>, flag: &str) -> Result<T, String> {
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|_| format!("invalid {flag} `{raw}`"))
+}
+
+/// Parses a campaign command line (the arguments after the subcommand)
+/// into subject `S`: the one grammar of `supermem torture`,
+/// `torture --tree`, `serve --torture` and `kv torture`.
+pub fn parse<S: Subject>(argv: &[String]) -> Result<S, String> {
+    let mut f = Flags {
+        scheme: None,
+        faults: None,
+        point: None,
+        seeds: None,
+        channels: None,
+        levels: None,
+        structure: None,
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        // `--json` is read by the report emitter; the marker routed here.
+        if flag == "--json" || S::MARKER == Some(flag) {
+            continue;
+        }
+        let shared = matches!(flag, "--fault" | "--point" | "--seed" | "--seeds");
+        if !shared && !S::FLAGS.contains(&flag) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        match flag {
+            "--fault" => {
+                let name: String = flag_value(&mut it, flag)?;
+                let all = S::Fault::all();
+                let fault = all.iter().find(|f| f.name().eq_ignore_ascii_case(&name));
+                let names: Vec<&str> = all.iter().map(|f| f.name()).collect();
+                f.faults = Some(vec![*fault.ok_or_else(|| {
+                    format!(
+                        "unknown fault `{name}` (expected one of: {})",
+                        names.join(" ")
+                    )
+                })?]);
             }
+            "--point" => f.point = Some(flag_value(&mut it, flag)?),
+            "--seed" => f.seeds = Some(vec![flag_value(&mut it, flag)?]),
+            "--seeds" => {
+                let n: u64 = flag_value(&mut it, flag)?;
+                if n == 0 {
+                    return Err("--seeds must be at least 1".into());
+                }
+                f.seeds = Some((1..=n).collect());
+            }
+            "--scheme" => {
+                let name: String = flag_value(&mut it, flag)?;
+                f.scheme = Some(Scheme::parse(&name).ok_or_else(|| {
+                    format!("unknown scheme `{}`", name.to_ascii_lowercase())
+                })?);
+            }
+            "--channels" => {
+                let n: usize = flag_value(&mut it, flag)?;
+                if !n.is_power_of_two() {
+                    return Err("--channels must be a power of two".into());
+                }
+                f.channels = Some(n);
+            }
+            "--persisted-levels" => {
+                let n: u32 = flag_value(&mut it, flag)?;
+                if n == 0 {
+                    return Err("--persisted-levels must be at least 1 (level 0 persists \
+                                nothing and leaves no tree region to torture)"
+                        .into());
+                }
+                f.levels = Some(n);
+            }
+            _ => f.structure = Some(flag_value(&mut it, flag)?),
         }
     }
-    let results = sweep(&cases, run_tree_case);
-    TreeTortureReport { results }
+    S::configure(f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn single(scheme: Scheme, class: Option<FaultClass>, seeds: &[u64]) -> TortureReport {
+    fn single(scheme: Scheme, class: Option<FaultClass>, seeds: &[u64]) -> Report<TortureConfig> {
         single_ch(scheme, class, seeds, 1)
     }
 
@@ -761,7 +678,7 @@ mod tests {
         class: Option<FaultClass>,
         seeds: &[u64],
         channels: usize,
-    ) -> TortureReport {
+    ) -> Report<TortureConfig> {
         let cfg = TortureConfig {
             schemes: vec![scheme],
             classes: vec![class],
@@ -769,13 +686,13 @@ mod tests {
             point: None,
             channels: vec![channels],
         };
-        run_torture(&cfg)
+        run(&cfg)
     }
 
     #[test]
     fn baseline_without_faults_always_recovers_an_oracle_state() {
-        // Satellite (c): recovery of an un-faulted crash image must never
-        // report corruption, at any crash point, under several seeds.
+        // Recovery of an un-faulted crash image must never report
+        // corruption, at any crash point, under several seeds.
         for scheme in [Scheme::SuperMem, Scheme::WriteThrough, Scheme::Osiris] {
             let report = single(scheme, None, &[1, 2, 3]);
             for r in &report.results {
@@ -860,14 +777,14 @@ mod tests {
     #[test]
     fn report_tallies_are_consistent() {
         let report = single(Scheme::WriteThrough, Some(FaultClass::BitFlip), &[7]);
-        let by_scheme = report.by_scheme();
-        assert_eq!(by_scheme.len(), 1);
-        let s = by_scheme[0];
-        assert_eq!(s.cases, report.total());
-        assert_eq!(
-            s.recovered_old + s.recovered_new + s.detected + s.silent,
-            s.cases
-        );
+        let tallies = report.tallies();
+        assert_eq!(tallies.len(), 1);
+        let s = &tallies[0];
+        assert_eq!(s.label, "WT");
+        assert_eq!(s.cases(), report.total());
+        for (i, c) in Classification::ALL.into_iter().enumerate() {
+            assert_eq!(s.counts[i], report.count(c), "{c}");
+        }
         assert_eq!(s.verdict(), "fail-safe");
     }
 
@@ -935,7 +852,7 @@ mod tests {
             point: Some(1),
             channels: vec![1, 2],
         };
-        let report = run_torture(&cfg);
+        let report = run(&cfg);
         assert!(report
             .results
             .iter()
@@ -957,25 +874,24 @@ mod tests {
     fn shrink_finds_a_smaller_point_with_the_same_outcome() {
         // Shrinking a clean case keeps its class of outcome; the exact
         // classification at the minimal point must match the original's.
+        let cfg = TortureConfig::default();
         let tc = TortureCase {
             scheme: Scheme::SuperMem,
             class: None,
-            point: crash_points(Scheme::SuperMem, 1),
+            point: crash_points(&cfg, (Scheme::SuperMem, 1), 1),
             seed: 1,
             channels: 1,
         };
-        let min = shrink_point(&tc);
-        assert!(min >= 1 && min <= tc.point);
-        let mut at_min = tc;
-        at_min.point = min;
+        let min = shrink(&cfg, &tc);
+        assert!(min.point >= 1 && min.point <= tc.point);
         assert_eq!(
-            run_case(&at_min).classification,
-            run_case(&tc).classification
+            run_case(&cfg, &min).classification,
+            run_case(&cfg, &tc).classification
         );
     }
 
-    fn tree_single(levels: u32, fault: TreeFault, seeds: &[u64]) -> TreeTortureReport {
-        run_tree_torture(&TreeTortureConfig {
+    fn tree_single(levels: u32, fault: TreeFault, seeds: &[u64]) -> Report<TreeTortureConfig> {
+        run(&TreeTortureConfig {
             levels: vec![levels],
             faults: vec![fault],
             seeds: seeds.to_vec(),

@@ -56,8 +56,8 @@ pub use oracle::{op_stream, Legality, ShadowOracle};
 pub use recovery::{recover, Recovered, RecoveryError, RecoveryOptions, RecoveryResult};
 pub use store::{KvError, KvStats, KvStore};
 pub use torture::{
-    kv_crash_points, kv_run_case, kv_run_torture, kv_shrink_point, KvCaseResult, KvClassification,
-    KvTortureCase, KvTortureConfig, KvTortureReport,
+    kv_crash_points, kv_run_case, kv_run_torture, KvCaseResult, KvClassification, KvTortureCase,
+    KvTortureConfig,
 };
 pub use wal::KvOp;
 pub use workload::KvWorkload;

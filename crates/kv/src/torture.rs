@@ -1,8 +1,8 @@
-//! Differential crash torture for the KV store: every WAL append,
-//! snapshot write, and checkpoint-pointer flip is a crash point;
-//! every crash point is crossed with the media fault classes of
-//! [`supermem::torture`]; every recovered store is checked against the
-//! shadow oracle of acknowledged operations.
+//! The KV subject of the crash-campaign harness
+//! ([`supermem::torture`]): every WAL append, snapshot write, and
+//! checkpoint-pointer flip is a crash point; every crash point is crossed
+//! with the media fault classes; every recovered store is checked
+//! against the shadow oracle of acknowledged operations.
 //!
 //! A case is classified ([`KvClassification`]):
 //!
@@ -17,27 +17,30 @@
 //!   snapshots) or in a hardware signal (ECC detection, poisoned read,
 //!   dirty-shutdown latch).
 //! * **SILENT** — acknowledged data is wrong and *nothing* noticed.
-//!   One of these fails the campaign; [`kv_shrink_point`] produces a
-//!   minimal reproducer.
+//!   One of these fails the campaign; [`supermem::torture::shrink`]
+//!   produces a minimal reproducer.
 //!
-//! Crash points are enumerated exactly as in the PR 4 engine: a dry
-//! run counts machine-wide write-queue appends, and the campaign arms
-//! a crash after each count 1..=total. Because the KV workload's
-//! persists *are* its WAL appends, snapshot payload/header writes, and
-//! manifest flips, this sweep hits every durability edge of the store.
+//! The harness counts crash points with a dry run of machine-wide
+//! write-queue appends and arms a crash after each count 1..=total.
+//! Because the KV workload's persists *are* its WAL appends, snapshot
+//! payload/header writes, and manifest flips, this sweep hits every
+//! durability edge of the store. The op stream, and so the crash points,
+//! depend on the seed: each (channels, scheme, seed) is its own group.
 //!
 //! [`RecoveryError`]: crate::recovery::RecoveryError
-//! [`RecoveryResult`]: crate::recovery::RecoveryResult
 
-use supermem::memctrl::MachineCrashImage;
-use supermem::nvm::{FaultClass, FaultSpec};
-use supermem::persist::{DirectMem, RecoveredMemory};
+use supermem::nvm::FaultClass;
+use supermem::persist::DirectMem;
 use supermem::sim::Config;
-use supermem::{sweep, Scheme};
+use supermem::torture::{
+    crash_points, run, run_case, CaseResult, Fault, Flags, RecoveredImage, Report, Subject,
+    Verdict,
+};
+use supermem::Scheme;
 
 use crate::invariants::{r3_prefix_consistent, r6_bounded_skip};
 use crate::oracle::{op_stream, Legality, ShadowOracle};
-use crate::recovery::{recover, RecoveryOptions};
+use crate::recovery::{recover, RecoveryOptions, RecoveryResult};
 use crate::store::KvStore;
 use crate::wal::KvOp;
 use crate::KvLayout;
@@ -106,6 +109,15 @@ impl std::fmt::Display for KvClassification {
     }
 }
 
+impl Verdict for KvClassification {
+    const ALL: [Self; 4] = [
+        KvClassification::RecoveredCommitted,
+        KvClassification::LostUnackedTail,
+        KvClassification::Detected,
+        KvClassification::Silent,
+    ];
+}
+
 /// One fully determined case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvTortureCase {
@@ -127,7 +139,7 @@ impl KvTortureCase {
         let mut line = format!(
             "supermem kv torture --scheme {} --fault {} --point {} --seed {}",
             self.scheme.name().to_ascii_lowercase(),
-            self.class.map_or("none", FaultClass::name),
+            self.class.name(),
             self.point,
             self.seed
         );
@@ -138,119 +150,10 @@ impl KvTortureCase {
     }
 }
 
-/// The outcome of one executed case.
-#[derive(Debug, Clone)]
-pub struct KvCaseResult {
-    /// The case that ran.
-    pub case: KvTortureCase,
-    /// How it was classified.
-    pub classification: KvClassification,
-    /// Human-readable evidence.
-    pub detail: String,
-    /// The typed recovery report, when KV recovery returned one (a
-    /// refusal with a [`RecoveryError`](crate::recovery::RecoveryError)
-    /// leaves this `None`).
-    pub recovery: Option<crate::recovery::RecoveryResult>,
-}
-
-/// Per-scheme tally.
-#[derive(Debug, Clone, Copy)]
-pub struct KvSchemeSummary {
-    /// The scheme being summarized.
-    pub scheme: Scheme,
-    /// Total cases.
-    pub cases: u64,
-    /// Cases classified recovered-committed.
-    pub committed: u64,
-    /// Cases classified lost-unacked-tail.
-    pub lost_tail: u64,
-    /// Cases classified detected.
-    pub detected: u64,
-    /// Cases classified SILENT.
-    pub silent: u64,
-}
-
-impl KvSchemeSummary {
-    /// One-word verdict.
-    pub fn verdict(&self) -> &'static str {
-        if self.silent > 0 {
-            "SILENT CORRUPTION"
-        } else {
-            "fail-safe"
-        }
-    }
-}
-
-/// Everything a campaign produced.
-#[derive(Debug, Clone)]
-pub struct KvTortureReport {
-    /// Every executed case, in sweep (input) order.
-    pub results: Vec<KvCaseResult>,
-}
-
-impl KvTortureReport {
-    /// Total injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&KvCaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == KvClassification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: KvClassification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
-    }
-
-    /// Count restricted to one (scheme, class) cell of the matrix.
-    pub fn count_cell(
-        &self,
-        scheme: Scheme,
-        class: Option<FaultClass>,
-        c: KvClassification,
-    ) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.case.scheme == scheme && r.case.class == class && r.classification == c)
-            .count() as u64
-    }
-
-    /// Per-scheme tallies, in first-seen order.
-    pub fn by_scheme(&self) -> Vec<KvSchemeSummary> {
-        let mut out: Vec<KvSchemeSummary> = Vec::new();
-        for r in &self.results {
-            if !out.iter().any(|s| s.scheme == r.case.scheme) {
-                out.push(KvSchemeSummary {
-                    scheme: r.case.scheme,
-                    cases: 0,
-                    committed: 0,
-                    lost_tail: 0,
-                    detected: 0,
-                    silent: 0,
-                });
-            }
-            let Some(entry) = out.iter_mut().find(|s| s.scheme == r.case.scheme) else {
-                continue; // unreachable: pushed just above
-            };
-            entry.cases += 1;
-            match r.classification {
-                KvClassification::RecoveredCommitted => entry.committed += 1,
-                KvClassification::LostUnackedTail => entry.lost_tail += 1,
-                KvClassification::Detected => entry.detected += 1,
-                KvClassification::Silent => entry.silent += 1,
-            }
-        }
-        out
-    }
-}
+/// The outcome of one executed case; its evidence is the typed KV
+/// recovery report, when KV recovery returned one (a refusal with a
+/// [`RecoveryError`](crate::recovery::RecoveryError) leaves it `None`).
+pub type KvCaseResult = CaseResult<KvTortureConfig>;
 
 /// Campaign shape.
 #[derive(Debug, Clone)]
@@ -271,11 +174,9 @@ pub struct KvTortureConfig {
 
 impl Default for KvTortureConfig {
     fn default() -> Self {
-        let mut classes: Vec<Option<FaultClass>> = vec![None];
-        classes.extend(FaultClass::ALL.into_iter().map(Some));
         Self {
             schemes: KV_TORTURE_SCHEMES.to_vec(),
-            classes,
+            classes: Fault::all(),
             seeds: vec![1, 2, 3, 4],
             point: None,
             channels: vec![1],
@@ -313,260 +214,214 @@ fn stream(seed: u64, ops: u64) -> Vec<KvOp> {
     op_stream(seed, ops, KV_TORTURE_KEYSPACE, KV_TORTURE_MAX_VAL)
 }
 
-/// Dry-runs the workload to build the shadow oracle (acknowledged ops
-/// with their append counts) and count the crash points the sweep must
-/// visit (including the final shutdown drain).
-fn build_oracle(
-    cfg: &Config,
-    base: &(DirectMem, KvStore),
-    seed: u64,
-    ops: u64,
-) -> (ShadowOracle, u64) {
-    let _ = cfg;
-    let mut mem = base.0.clone();
-    let mut store = base.1.clone();
-    let before = mem.controller().append_events();
-    let mut oracle = ShadowOracle::new();
-    for op in stream(seed, ops) {
-        apply_op(&mut store, &mut mem, &op);
-        oracle.record(op, mem.controller().append_events() - before);
-    }
-    mem.shutdown();
-    (oracle, mem.controller().append_events() - before)
-}
-
 /// Number of crash points the workload crosses under `scheme` with
-/// `channels` controllers and the op stream of `seed` — every WAL
-/// append, snapshot write, and manifest flip lands in this count.
+/// `channels` controllers and the `ops`-long op stream of `seed` —
+/// every WAL append, snapshot write, and manifest flip lands in this
+/// count.
 pub fn kv_crash_points(scheme: Scheme, channels: usize, seed: u64, ops: u64) -> u64 {
-    let cfg = scheme.apply(Config::default()).with_channels(channels);
-    let base = base_system(&cfg);
-    build_oracle(&cfg, &base, seed, ops).1
+    let cfg = KvTortureConfig {
+        ops,
+        ..KvTortureConfig::default()
+    };
+    crash_points(&cfg, (scheme, channels), seed)
 }
 
-/// Executes one case end to end: establish the base, arm the crash,
-/// inject the fault, run the op stream, image the machine, recover,
-/// and classify against the shadow oracle.
+/// Executes one case of the default campaign (10 ops per stream) end to
+/// end.
 pub fn kv_run_case(tc: &KvTortureCase) -> KvCaseResult {
-    let cfg = tc
-        .scheme
-        .apply(Config::default())
-        .with_channels(tc.channels);
-    let spec = tc.class.map(|class| FaultSpec {
-        class,
-        seed: tc.seed,
-    });
-
-    let base = base_system(&cfg);
-    let (oracle, _) = build_oracle(&cfg, &base, tc.seed, KvTortureConfig::default().ops);
-
-    let (mut mem, mut store) = base;
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let Some(spec) = spec {
-        if spec.class.is_power_event() {
-            mem.controller_mut().set_fault_plan(spec);
-        }
-    }
-    for op in stream(tc.seed, oracle.len() as u64) {
-        apply_op(&mut store, &mut mem, &op);
-    }
-
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
-        // The armed point lies in (or beyond) the shutdown drain: the
-        // workload completed; finish cleanly and image that.
-        mem.shutdown();
-        mem.machine_crash_now()
-    };
-    if let Some(spec) = spec {
-        if !spec.class.is_power_event() {
-            let ch = (tc.seed as usize) % machine.channels.len();
-            machine.channels[ch].store.strike_faults(spec);
-        }
-    }
-
-    classify(tc, &cfg, machine, &oracle)
+    run_case(&KvTortureConfig::default(), tc)
 }
 
-fn classify(
-    tc: &KvTortureCase,
-    cfg: &Config,
-    machine: MachineCrashImage,
-    oracle: &ShadowOracle,
-) -> KvCaseResult {
-    let done = |classification, detail| KvCaseResult {
-        case: *tc,
-        classification,
-        detail,
-        recovery: None,
-    };
-
-    // Counters and integrity first (Osiris trial decryption where the
-    // scheme relaxes counter persistence), exactly as in the PR 4
-    // engine.
-    let (mut rec, osiris_unrecoverable) = if cfg.osiris_window.is_some() {
-        match supermem::persist::recover_osiris(cfg, machine.merged()) {
-            Ok((rec, report)) => (rec, report.unrecoverable_lines),
-            Err(e) => {
-                return done(
-                    KvClassification::Detected,
-                    format!("osiris counter recovery refused: {e}"),
-                )
-            }
-        }
-    } else {
-        match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-            Ok(rec) => (rec, 0),
-            Err(e) => {
-                return done(
-                    KvClassification::Detected,
-                    format!("image rebuild refused: {e}"),
-                )
-            }
-        }
-    };
-
-    let opts = RecoveryOptions {
-        paranoid: true,
-        ..RecoveryOptions::default()
-    };
-    let recovered = match recover(&mut rec, kv_torture_layout(), &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            return done(
-                KvClassification::Detected,
-                format!("kv recovery refused: {e}"),
-            )
-        }
-    };
-
-    let report = recovered.result;
-    let finish = |classification, detail| KvCaseResult {
-        case: *tc,
-        classification,
-        detail,
-        recovery: Some(report),
-    };
-
-    // R6 is recovery's own contract; a breach is a store bug the
-    // campaign must fail on, not a media outcome.
-    if let Err(msg) = r6_bounded_skip(&recovered.result, &opts) {
-        return finish(KvClassification::Silent, msg);
-    }
-
-    // R3: differential check against the acknowledged history.
-    match r3_prefix_consistent(oracle, tc.point, recovered.store.entries()) {
-        Ok(Legality::Committed) => finish(
-            KvClassification::RecoveredCommitted,
-            format!(
-                "all issued ops durable ({} replayed from snapshot {})",
-                recovered.result.records_replayed, recovered.result.snapshot_seq
-            ),
-        ),
-        Ok(Legality::LostUnackedTail) => finish(
-            KvClassification::LostUnackedTail,
-            format!(
-                "acked prefix intact; unacked tail cut ({})",
-                recovered.result.torn_tail_at.map_or(
-                    "no torn record; tail never reached the queue".to_owned(),
-                    |o| { format!("torn record truncated at offset {o}") }
-                )
-            ),
-        ),
-        Ok(Legality::Illegal) | Err(_) => {
-            // Wrong data: acceptable only if something noticed.
-            let fc = rec.store().fault_counters();
-            let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
-            let report_damage = recovered.result.damaged();
-            if fc.any_detected()
-                || dirty_shutdown
-                || rec.media_failures() > 0
-                || osiris_unrecoverable > 0
-                || report_damage
-            {
-                finish(
-                    KvClassification::Detected,
-                    format!(
-                        "degraded data with detection signals: ecc_detections={} lost_reads={} \
-                         transient_failures={} torn_entries={} dropped_writes={} \
-                         media_failures={} osiris_unrecoverable={} report_damaged={} \
-                         (skipped={} snapshots_rejected={})",
-                        fc.ecc_detections,
-                        fc.lost_reads,
-                        fc.transient_failures,
-                        fc.torn_entries,
-                        fc.dropped_writes,
-                        rec.media_failures(),
-                        osiris_unrecoverable,
-                        report_damage,
-                        recovered.result.corrupt_entries_skipped,
-                        recovered.result.snapshots_rejected,
-                    ),
-                )
-            } else {
-                finish(
-                    KvClassification::Silent,
-                    format!(
-                        "recovered state matches no acknowledged prefix and nothing detected it \
-                         ({} entries, digest {:#010x})",
-                        recovered.result.entries, recovered.result.state_digest
-                    ),
-                )
-            }
-        }
-    }
+/// Runs the full campaign; results come back in input order.
+pub fn kv_run_torture(cfg: &KvTortureConfig) -> Report<KvTortureConfig> {
+    run(cfg)
 }
 
-/// Shrinks a failing case to the smallest crash point that still
-/// reproduces its classification.
-pub fn kv_shrink_point(tc: &KvTortureCase) -> u64 {
-    let target = kv_run_case(tc).classification;
-    let mut best = tc.point;
-    let mut probe = tc.point / 2;
-    while probe >= 1 {
-        let mut smaller = *tc;
-        smaller.point = probe;
-        if kv_run_case(&smaller).classification == target {
-            best = probe;
-            probe /= 2;
-        } else {
-            break;
-        }
-    }
-    best
-}
+impl Subject for KvTortureConfig {
+    type Group = (Scheme, usize);
+    type Fault = Option<FaultClass>;
+    type Case = KvTortureCase;
+    type Class = KvClassification;
+    type Base = (DirectMem, KvStore);
+    type Oracle = ShadowOracle;
+    type Evidence = Option<RecoveryResult>;
 
-/// Runs the full campaign: per (scheme, channels, seed) the crash
-/// points are counted with a dry run, then every (class, point)
-/// combination fans out over the parallel sweep engine. Results come
-/// back in input order.
-pub fn kv_run_torture(cfg: &KvTortureConfig) -> KvTortureReport {
-    let mut cases: Vec<KvTortureCase> = Vec::new();
-    for &channels in &cfg.channels {
-        for &scheme in &cfg.schemes {
-            for &seed in &cfg.seeds {
-                let total = kv_crash_points(scheme, channels, seed, cfg.ops);
-                let points: Vec<u64> = match cfg.point {
-                    Some(p) => vec![p.clamp(1, total)],
-                    None => (1..=total).collect(),
-                };
-                for &class in &cfg.classes {
-                    for &point in &points {
-                        cases.push(KvTortureCase {
-                            scheme,
-                            class,
-                            point,
-                            seed,
-                            channels,
-                        });
-                    }
+    const NAME: &'static str = "kvtorture";
+    const TITLE: &'static str = "KV crash torture: crash point x fault class x seed";
+    const AXIS: &'static str = "scheme";
+    const FAULTS: &'static str = "fault class(es)";
+    const LEGEND: &'static str =
+        "(lost-unacked-tail = only never-acknowledged ops missing; detected = degraded but \
+         flagged by a typed error, the recovery report, or ECC/poison/dirty-shutdown)";
+    const VERDICT_COLUMN: bool = true;
+    const MARKER: Option<&'static str> = None;
+    const FLAGS: &'static [&'static str] = &["--scheme", "--channels"];
+
+    fn configure(f: Flags<Self::Fault>) -> Result<Self, String> {
+        let d = Self::default();
+        Ok(Self {
+            schemes: f.scheme.map_or(d.schemes, |s| vec![s]),
+            classes: f.faults.unwrap_or(d.classes),
+            seeds: f.seeds.unwrap_or(d.seeds),
+            point: f.point,
+            channels: f.channels.map_or(d.channels, |n| vec![n]),
+            ops: d.ops,
+        })
+    }
+
+    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)> {
+        let mut groups = Vec::new();
+        for &channels in &self.channels {
+            for &scheme in &self.schemes {
+                for &seed in &self.seeds {
+                    groups.push(((scheme, channels), vec![seed]));
                 }
             }
         }
+        groups
     }
-    let results = sweep(&cases, kv_run_case);
-    KvTortureReport { results }
+
+    fn faults(&self) -> &[Self::Fault] {
+        &self.classes
+    }
+
+    fn seeds(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn point(&self) -> Option<u64> {
+        self.point
+    }
+
+    fn axis_len(&self) -> usize {
+        self.schemes.len()
+    }
+
+    fn case((scheme, channels): Self::Group, class: Self::Fault, point: u64, seed: u64) -> KvTortureCase {
+        KvTortureCase {
+            scheme,
+            class,
+            point,
+            seed,
+            channels,
+        }
+    }
+
+    fn parts(c: &KvTortureCase) -> (Self::Group, Self::Fault, u64, u64) {
+        ((c.scheme, c.channels), c.class, c.point, c.seed)
+    }
+
+    fn label(c: &KvTortureCase) -> String {
+        c.scheme.name().to_owned()
+    }
+
+    fn repro(c: &KvTortureCase) -> String {
+        c.repro()
+    }
+
+    fn machine((scheme, channels): Self::Group) -> Config {
+        scheme.apply(Config::default()).with_channels(channels)
+    }
+
+    fn base(cfg: &Config, _: Self::Group) -> (DirectMem, KvStore) {
+        base_system(cfg)
+    }
+
+    fn mem(state: &mut (DirectMem, KvStore)) -> &mut DirectMem {
+        &mut state.0
+    }
+
+    fn workload(&self, (mem, store): &mut (DirectMem, KvStore), _: Self::Group, seed: u64) {
+        for op in stream(seed, self.ops) {
+            apply_op(store, mem, &op);
+        }
+    }
+
+    /// Dry-runs the op stream, recording each acknowledged op with the
+    /// append count at its acknowledgement.
+    fn oracle(&self, base: &(DirectMem, KvStore), _: Self::Group, seed: u64) -> ShadowOracle {
+        let (mut mem, mut store) = base.clone();
+        let before = mem.controller().append_events();
+        let mut oracle = ShadowOracle::new();
+        for op in stream(seed, self.ops) {
+            apply_op(&mut store, &mut mem, &op);
+            oracle.record(op, mem.controller().append_events() - before);
+        }
+        oracle
+    }
+
+    fn judge(
+        &self,
+        tc: &KvTortureCase,
+        oracle: &ShadowOracle,
+        mut image: RecoveredImage,
+    ) -> (KvClassification, String, Option<RecoveryResult>) {
+        let opts = RecoveryOptions {
+            paranoid: true,
+            ..RecoveryOptions::default()
+        };
+        let recovered = match recover(&mut image.mem, kv_torture_layout(), &opts) {
+            Ok(r) => r,
+            Err(e) => {
+                return (
+                    KvClassification::Detected,
+                    format!("kv recovery refused: {e}"),
+                    None,
+                )
+            }
+        };
+        let report = recovered.result;
+        let (class, detail) = if let Err(msg) = r6_bounded_skip(&report, &opts) {
+            // R6 is recovery's own contract; a breach is a store bug the
+            // campaign must fail on, not a media outcome.
+            (KvClassification::Silent, msg)
+        } else {
+            // R3: differential check against the acknowledged history.
+            match r3_prefix_consistent(oracle, tc.point, recovered.store.entries()) {
+                Ok(Legality::Committed) => (
+                    KvClassification::RecoveredCommitted,
+                    format!(
+                        "all issued ops durable ({} replayed from snapshot {})",
+                        report.records_replayed, report.snapshot_seq
+                    ),
+                ),
+                Ok(Legality::LostUnackedTail) => (
+                    KvClassification::LostUnackedTail,
+                    format!(
+                        "acked prefix intact; unacked tail cut ({})",
+                        report.torn_tail_at.map_or(
+                            "no torn record; tail never reached the queue".to_owned(),
+                            |o| { format!("torn record truncated at offset {o}") }
+                        )
+                    ),
+                ),
+                // Wrong data: acceptable only if something noticed.
+                Ok(Legality::Illegal) | Err(_) => match image.signals(report.damaged()) {
+                    Some(signals) => (
+                        KvClassification::Detected,
+                        format!(
+                            "degraded data with detection signals: {signals} \
+                             osiris_unrecoverable={} report_damaged={} (skipped={} \
+                             snapshots_rejected={})",
+                            image.osiris_unrecoverable,
+                            report.damaged(),
+                            report.corrupt_entries_skipped,
+                            report.snapshots_rejected,
+                        ),
+                    ),
+                    None => (
+                        KvClassification::Silent,
+                        format!(
+                            "recovered state matches no acknowledged prefix and nothing \
+                             detected it ({} entries, digest {:#010x})",
+                            report.entries, report.state_digest
+                        ),
+                    ),
+                },
+            }
+        };
+        (class, detail, Some(report))
+    }
 }
 
 #[cfg(test)]

@@ -55,6 +55,6 @@ pub use service::{
     recover, walk_nodes, NodeView, RecoverError, RecoveredServe, Service, ServiceLayout,
     StructureKind,
 };
-pub use torture::{run_serve_torture, ServeCase, ServeTortureConfig, ServeTortureReport};
+pub use torture::{ServeCase, ServeTortureConfig};
 pub use traffic::{ReqKind, Request, TrafficGen, TrafficSpec};
 pub use workload::ServeWorkload;

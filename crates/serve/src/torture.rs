@@ -1,7 +1,9 @@
-//! Crash torture inside the CAS windows of the served structures.
+//! The serve subject of the crash-campaign harness
+//! ([`supermem::torture`]): crashes inside the CAS windows of the served
+//! structures.
 //!
-//! The core torture engine attacks an undo-logged transaction; this
-//! one attacks the *lock-free* protocol: one mutating operation on a
+//! The data subject attacks an undo-logged transaction; this one
+//! attacks the *lock-free* protocol: one mutating operation on a
 //! warmed-up shared structure, crashed (and optionally media-faulted)
 //! after every write-queue append boundary it crosses — which places
 //! crash points between the descriptor announce, the node persist, the
@@ -16,11 +18,10 @@
 //! resolves by inspection) is classified honestly. Anything else must
 //! be *detected*, never silent.
 
-use supermem::nvm::{FaultClass, FaultSpec};
-use supermem::persist::{DirectMem, RecoveredMemory, SlotState};
+use supermem::nvm::FaultClass;
+use supermem::persist::{DirectMem, SlotState};
 use supermem::sim::Config;
-use supermem::sweep::sweep;
-use supermem::torture::Classification;
+use supermem::torture::{Classification, Fault, Flags, RecoveredImage, Subject};
 use supermem::Scheme;
 
 use crate::service::{recover, Service, ServiceLayout, StepResult, StructureKind, OP_UPDATE};
@@ -53,51 +54,10 @@ impl ServeCase {
             "supermem serve --torture --structure {} --scheme {} --fault {} --point {} --seed {}",
             self.structure,
             self.scheme.name().to_ascii_lowercase(),
-            self.class.map_or("none", FaultClass::name),
+            self.class.name(),
             self.point,
             self.seed
         )
-    }
-}
-
-/// The outcome of one executed [`ServeCase`].
-#[derive(Debug, Clone)]
-pub struct ServeCaseResult {
-    /// The case that ran.
-    pub case: ServeCase,
-    /// How it was classified.
-    pub classification: Classification,
-    /// Human-readable evidence.
-    pub detail: String,
-}
-
-/// Everything a serve-torture campaign produced.
-#[derive(Debug, Clone)]
-pub struct ServeTortureReport {
-    /// Every executed case, in sweep order.
-    pub results: Vec<ServeCaseResult>,
-}
-
-impl ServeTortureReport {
-    /// Total injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&ServeCaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == Classification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: Classification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
     }
 }
 
@@ -118,12 +78,10 @@ pub struct ServeTortureConfig {
 
 impl Default for ServeTortureConfig {
     fn default() -> Self {
-        let mut classes: Vec<Option<FaultClass>> = vec![None];
-        classes.extend(FaultClass::ALL.into_iter().map(Some));
         Self {
             schemes: vec![Scheme::SuperMem],
             structures: StructureKind::ALL.to_vec(),
-            classes,
+            classes: Fault::all(),
             seeds: vec![1, 2],
             point: None,
         }
@@ -189,98 +147,138 @@ fn base_system(cfg: &Config, structure: StructureKind) -> (DirectMem, Service) {
     (mem, svc)
 }
 
-/// Number of write-queue append boundaries the tortured op crosses —
-/// the crash points the sweep visits (dry run, no faults).
-pub fn crash_points(scheme: Scheme, structure: StructureKind, seed: u64) -> u64 {
-    let cfg = scheme.apply(Config::default());
-    let (base, svc) = base_system(&cfg, structure);
-    let mut dry = base.clone();
-    let mut dry_svc = svc;
-    let before = dry.controller().append_events();
-    run_op(
-        &mut dry_svc,
-        &mut dry,
-        0,
-        &tortured_request(structure, seed),
-    );
-    dry.shutdown();
-    dry.controller().append_events() - before
-}
+impl Subject for ServeTortureConfig {
+    type Group = (Scheme, StructureKind);
+    type Fault = Option<FaultClass>;
+    type Case = ServeCase;
+    type Class = Classification;
+    type Base = (DirectMem, Service);
+    /// The service layout and the structure's entries before and after
+    /// the tortured op.
+    type Oracle = (ServiceLayout, Vec<(u64, u64)>, Vec<(u64, u64)>);
+    type Evidence = ();
 
-/// Executes one case end to end: warm the structure, capture the
-/// *before* oracle, arm the crash, inject, run the tortured op, image,
-/// recover, classify.
-pub fn run_case(tc: &ServeCase) -> ServeCaseResult {
-    let cfg = tc.scheme.apply(Config::default());
-    let spec = tc.class.map(|class| FaultSpec {
-        class,
-        seed: tc.seed,
-    });
+    const NAME: &'static str = "serve-torture";
+    const TITLE: &'static str = "CAS-window crash torture: crash point x fault class x seed";
+    const AXIS: &'static str = "structure";
+    const FAULTS: &'static str = "fault class(es)";
+    const LEGEND: &'static str =
+        "(crash points land between announce, node persist, linearizing CAS, completion)";
+    const VERDICT_COLUMN: bool = false;
+    const MARKER: Option<&'static str> = Some("--torture");
+    const FLAGS: &'static [&'static str] = &["--structure", "--scheme"];
 
-    let (base, svc) = base_system(&cfg, tc.structure);
-    let layout = svc.layout();
-    let before = svc.shadow_entries();
-
-    // The *after* oracle: the tortured op completed on an unfaulted
-    // clone.
-    let req = tortured_request(tc.structure, tc.seed);
-    let mut oracle_svc = svc.clone();
-    let mut oracle_mem = base.clone();
-    run_op(&mut oracle_svc, &mut oracle_mem, 0, &req);
-    let after = oracle_svc.shadow_entries();
-
-    let mut mem = base.clone();
-    let mut tsvc = svc;
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let Some(spec) = spec {
-        if spec.class.is_power_event() {
-            mem.controller_mut().set_fault_plan(spec);
-        }
-    }
-    run_op(&mut tsvc, &mut mem, 0, &req);
-
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
-        mem.shutdown();
-        mem.machine_crash_now()
-    };
-    if let Some(spec) = spec {
-        if !spec.class.is_power_event() {
-            let ch = (tc.seed as usize) % machine.channels.len();
-            machine.channels[ch].store.strike_faults(spec);
-        }
+    fn configure(f: Flags<Self::Fault>) -> Result<Self, String> {
+        let d = Self::default();
+        let structures = match f.structure {
+            Some(s) => vec![StructureKind::parse(&s)
+                .ok_or_else(|| format!("unknown structure `{s}` (expected stack|queue|hash)"))?],
+            None => d.structures,
+        };
+        Ok(Self {
+            schemes: f.scheme.map_or(d.schemes, |s| vec![s]),
+            structures,
+            classes: f.faults.unwrap_or(d.classes),
+            seeds: f.seeds.unwrap_or(d.seeds),
+            point: f.point,
+        })
     }
 
-    classify(tc, &cfg, &layout, &before, &after, machine)
+    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)> {
+        let mut groups = Vec::new();
+        for &scheme in &self.schemes {
+            for &structure in &self.structures {
+                for &seed in &self.seeds {
+                    groups.push(((scheme, structure), vec![seed]));
+                }
+            }
+        }
+        groups
+    }
+
+    fn faults(&self) -> &[Self::Fault] {
+        &self.classes
+    }
+
+    fn seeds(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn point(&self) -> Option<u64> {
+        self.point
+    }
+
+    fn axis_len(&self) -> usize {
+        self.structures.len()
+    }
+
+    fn case((scheme, structure): Self::Group, class: Self::Fault, point: u64, seed: u64) -> ServeCase {
+        ServeCase {
+            scheme,
+            structure,
+            class,
+            point,
+            seed,
+        }
+    }
+
+    fn parts(c: &ServeCase) -> (Self::Group, Self::Fault, u64, u64) {
+        ((c.scheme, c.structure), c.class, c.point, c.seed)
+    }
+
+    fn label(c: &ServeCase) -> String {
+        c.structure.to_string()
+    }
+
+    fn repro(c: &ServeCase) -> String {
+        c.repro()
+    }
+
+    fn machine((scheme, _): Self::Group) -> Config {
+        scheme.apply(Config::default())
+    }
+
+    fn base(cfg: &Config, (_, structure): Self::Group) -> (DirectMem, Service) {
+        base_system(cfg, structure)
+    }
+
+    fn mem(state: &mut (DirectMem, Service)) -> &mut DirectMem {
+        &mut state.0
+    }
+
+    /// The tortured op, always on core 0 so its descriptor is slot 0.
+    fn workload(&self, (mem, svc): &mut (DirectMem, Service), (_, structure): Self::Group, seed: u64) {
+        run_op(svc, mem, 0, &tortured_request(structure, seed));
+    }
+
+    /// *Before* is the warmed structure; *after* is the tortured op
+    /// completed on an unfaulted clone.
+    fn oracle(&self, base: &(DirectMem, Service), group: Self::Group, seed: u64) -> Self::Oracle {
+        let mut after = base.clone();
+        self.workload(&mut after, group, seed);
+        (base.1.layout(), base.1.shadow_entries(), after.1.shadow_entries())
+    }
+
+    fn judge(
+        &self,
+        _: &ServeCase,
+        (layout, before, after): &Self::Oracle,
+        mut image: RecoveredImage,
+    ) -> (Classification, String, ()) {
+        let (class, detail) = judge(layout, before, after, &mut image);
+        (class, detail, ())
+    }
 }
 
-fn classify(
-    tc: &ServeCase,
-    cfg: &Config,
+fn judge(
     layout: &ServiceLayout,
     before: &[(u64, u64)],
     after: &[(u64, u64)],
-    machine: supermem::memctrl::MachineCrashImage,
-) -> ServeCaseResult {
-    let done = |classification, detail| ServeCaseResult {
-        case: *tc,
-        classification,
-        detail,
-    };
-
-    let mut rec = match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-        Ok(rec) => rec,
-        Err(e) => {
-            return done(
-                Classification::Detected,
-                format!("image rebuild refused: {e}"),
-            )
-        }
-    };
-    let recovered = match recover(&mut rec, layout) {
+    image: &mut RecoveredImage,
+) -> (Classification, String) {
+    let recovered = match recover(&mut image.mem, layout) {
         Ok(r) => r,
-        Err(e) => return done(Classification::Detected, format!("{e}")),
+        Err(e) => return (Classification::Detected, format!("{e}")),
     };
 
     // Structure-level differential check against the exact oracle.
@@ -307,7 +305,7 @@ fn classify(
         } else {
             Classification::RecoveredOld
         };
-        return done(
+        return (
             which,
             format!(
                 "{} entries intact (slot0 {:?})",
@@ -319,77 +317,35 @@ fn classify(
 
     // Wrong data (or a lying descriptor): acceptable only if something
     // noticed.
-    let fc = rec.store().fault_counters();
-    let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
-    if fc.any_detected() || dirty_shutdown || rec.media_failures() > 0 {
-        return done(
+    match image.signals(false) {
+        Some(signals) => (
             Classification::Detected,
-            format!(
-                "degraded structure with detection signals: ecc_detections={} \
-                 lost_reads={} transient_failures={} torn_entries={} \
-                 dropped_writes={} media_failures={} slot_lies={slot_lies}",
-                fc.ecc_detections,
-                fc.lost_reads,
-                fc.transient_failures,
-                fc.torn_entries,
-                fc.dropped_writes,
-                rec.media_failures()
-            ),
-        );
-    }
-    done(
-        Classification::Silent,
-        format!(
-            "recovered {} entries match neither oracle ({} before / {} after) \
-             or the descriptor lied (slot_lies={slot_lies}) and nothing detected it",
-            recovered.entries.len(),
-            before.len(),
-            after.len()
+            format!("degraded structure with detection signals: {signals} slot_lies={slot_lies}"),
         ),
-    )
-}
-
-/// Runs the full campaign: crash points per (scheme, structure, seed)
-/// via dry runs, then every (class, point, seed) fans out over the
-/// parallel sweep engine.
-pub fn run_serve_torture(cfg: &ServeTortureConfig) -> ServeTortureReport {
-    let mut cases: Vec<ServeCase> = Vec::new();
-    for &scheme in &cfg.schemes {
-        for &structure in &cfg.structures {
-            for &seed in &cfg.seeds {
-                let total = crash_points(scheme, structure, seed);
-                let points: Vec<u64> = match cfg.point {
-                    Some(p) => vec![p.clamp(1, total)],
-                    None => (1..=total).collect(),
-                };
-                for &class in &cfg.classes {
-                    for &point in &points {
-                        cases.push(ServeCase {
-                            scheme,
-                            structure,
-                            class,
-                            point,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
+        None => (
+            Classification::Silent,
+            format!(
+                "recovered {} entries match neither oracle ({} before / {} after) \
+                 or the descriptor lied (slot_lies={slot_lies}) and nothing detected it",
+                recovered.entries.len(),
+                before.len(),
+                after.len()
+            ),
+        ),
     }
-    let results = sweep(&cases, run_case);
-    ServeTortureReport { results }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermem::torture::{run, Report};
 
     fn campaign(
         structure: StructureKind,
         class: Option<FaultClass>,
         seeds: &[u64],
-    ) -> ServeTortureReport {
-        run_serve_torture(&ServeTortureConfig {
+    ) -> Report<ServeTortureConfig> {
+        run(&ServeTortureConfig {
             schemes: vec![Scheme::SuperMem],
             structures: vec![structure],
             classes: vec![class],

@@ -7,10 +7,10 @@
 //! recovery, oracle classification — holds together across crates.
 
 use supermem::nvm::FaultClass;
+use supermem::torture::shrink;
 use supermem::Scheme;
 use supermem_kv::{
-    kv_crash_points, kv_run_case, kv_run_torture, kv_shrink_point, KvClassification, KvTortureCase,
-    KvTortureConfig,
+    kv_crash_points, kv_run_case, kv_run_torture, KvClassification, KvTortureCase, KvTortureConfig,
 };
 
 fn classes_with_baseline() -> Vec<Option<FaultClass>> {
@@ -54,21 +54,23 @@ fn reduced_campaign_has_zero_silent_cases() {
     // Crash-only cases never involve media damage, so nothing there
     // may be degraded to "detected": the WAL contract handles a bare
     // crash at any append without data loss beyond the unacked tail.
-    for scheme in &cfg.schemes {
-        assert_eq!(
-            report.count_cell(*scheme, None, KvClassification::Detected),
-            0,
-            "{scheme:?}: a bare crash must never need a damage signal"
+    for r in &report.results {
+        assert!(
+            r.case.class.is_some() || r.classification != KvClassification::Detected,
+            "{}: a bare crash must never need a damage signal",
+            r.case.repro()
         );
     }
-    for s in report.by_scheme() {
+    let tallies = report.tallies();
+    assert_eq!(tallies.len(), cfg.schemes.len());
+    for s in &tallies {
         assert_eq!(s.verdict(), "fail-safe");
-        assert_eq!(
-            s.cases,
-            s.committed + s.lost_tail + s.detected + s.silent,
-            "tallies add up"
-        );
     }
+    assert_eq!(
+        tallies.iter().map(|s| s.cases()).sum::<u64>(),
+        report.total(),
+        "tallies add up"
+    );
 }
 
 #[test]
@@ -126,10 +128,10 @@ fn shrink_finds_an_equally_classified_earlier_point() {
     else {
         panic!("torn-write sweep produced no detected case to shrink");
     };
-    let min_point = kv_shrink_point(&detected.case);
-    assert!(min_point <= detected.case.point);
+    let min = shrink(&cfg, &detected.case);
+    assert!(min.point <= detected.case.point);
     let replay = kv_run_case(&KvTortureCase {
-        point: min_point,
+        point: min.point,
         ..detected.case
     });
     assert_eq!(replay.classification, KvClassification::Detected);

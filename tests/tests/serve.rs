@@ -5,11 +5,11 @@
 //! them.
 
 use supermem::nvm::FaultClass;
-use supermem::torture::Classification;
+use supermem::torture::{run, Classification};
 use supermem::Scheme;
 use supermem_check::Checker;
 use supermem_serve::{
-    run_serve, run_serve_observed, run_serve_torture, ServeConfig, ServeTortureConfig,
+    run_serve, run_serve_observed, ServeConfig, ServeTortureConfig,
     StructureKind,
 };
 
@@ -114,7 +114,7 @@ fn degraded_serving_stays_deterministic() {
 fn cas_window_torture_has_no_silent_corruption() {
     // Cross-crate smoke of the full campaign shape: every structure,
     // crash-only plus one power-event and one media fault class.
-    let report = run_serve_torture(&ServeTortureConfig {
+    let report = run(&ServeTortureConfig {
         schemes: vec![Scheme::SuperMem],
         structures: StructureKind::ALL.to_vec(),
         classes: vec![None, Some(FaultClass::Torn), Some(FaultClass::DoubleFlip)],

@@ -7,8 +7,7 @@
 //! at the scale the CI torture job runs.
 
 use supermem::torture::{
-    crash_points, run_case, run_torture, Classification, TortureCase, TortureConfig,
-    TORTURE_SCHEMES,
+    crash_points, run, run_case, Classification, TortureCase, TortureConfig, TORTURE_SCHEMES,
 };
 use supermem::Scheme;
 use supermem_nvm::FaultClass;
@@ -16,7 +15,7 @@ use supermem_nvm::FaultClass;
 #[test]
 fn full_campaign_classifies_everything_with_zero_silent_corruption() {
     let cfg = TortureConfig::default();
-    let report = run_torture(&cfg);
+    let report = run(&cfg);
     assert!(
         report.total() >= 1000,
         "the campaign must run at least 1000 injections, got {}",
@@ -31,14 +30,14 @@ fn full_campaign_classifies_everything_with_zero_silent_corruption() {
         panic!("silent corruption: {} — {}", r.case.repro(), r.detail);
     }
     // Per-scheme tallies cover every default scheme and agree in total.
-    let by_scheme = report.by_scheme();
+    let by_scheme = report.tallies();
     assert_eq!(by_scheme.len(), TORTURE_SCHEMES.len());
     assert_eq!(
-        by_scheme.iter().map(|s| s.cases).sum::<u64>(),
+        by_scheme.iter().map(|s| s.cases()).sum::<u64>(),
         report.total()
     );
     for s in &by_scheme {
-        assert_eq!(s.verdict(), "fail-safe", "{}: {s:?}", s.scheme.name());
+        assert_eq!(s.verdict(), "fail-safe", "{s:?}");
     }
 }
 
@@ -55,7 +54,7 @@ fn every_fault_class_leaves_a_trace_somewhere_in_the_sweep() {
             point: None,
             channels: vec![1],
         };
-        let report = run_torture(&cfg);
+        let report = run(&cfg);
         assert!(report.silent().is_empty(), "{class}: silent corruption");
         match class {
             // Destructive classes must surface as detected somewhere.
@@ -88,12 +87,12 @@ fn seeded_cases_are_deterministic() {
     let tc = TortureCase {
         scheme: Scheme::SuperMem,
         class: Some(FaultClass::Torn),
-        point: crash_points(Scheme::SuperMem, 1) / 2,
+        point: crash_points(&TortureConfig::default(), (Scheme::SuperMem, 1), 42) / 2,
         seed: 42,
         channels: 1,
     };
-    let a = run_case(&tc);
-    let b = run_case(&tc);
+    let a = run_case(&TortureConfig::default(), &tc);
+    let b = run_case(&TortureConfig::default(), &tc);
     assert_eq!(a.classification, b.classification);
     assert_eq!(a.detail, b.detail);
 }
@@ -110,7 +109,7 @@ fn osiris_scheme_survives_torture_through_trial_decryption_recovery() {
         point: None,
         channels: vec![1],
     };
-    let report = run_torture(&cfg);
+    let report = run(&cfg);
     assert!(report.silent().is_empty());
     assert!(report.count(Classification::RecoveredOld) > 0);
 }
@@ -131,13 +130,13 @@ fn golden_digest<'a>(cases: impl Iterator<Item = (String, &'a str, &'a str)>) ->
 
 #[test]
 fn reduced_grids_match_their_golden_digests() {
-    use supermem::torture::{run_tree_torture, TreeTortureConfig};
+    use supermem::torture::TreeTortureConfig;
     use supermem_kv::{kv_run_torture, KvTortureConfig};
-    use supermem_serve::{run_serve_torture, ServeTortureConfig};
+    use supermem_serve::ServeTortureConfig;
 
     let mut data = Vec::new();
     for channels in [1, 2] {
-        let report = run_torture(&TortureConfig {
+        let report = run(&TortureConfig {
             schemes: vec![Scheme::SuperMem, Scheme::Osiris],
             seeds: vec![1],
             channels: vec![channels],
@@ -147,12 +146,12 @@ fn reduced_grids_match_their_golden_digests() {
             (r.case.repro(), r.classification.name(), r.detail.as_str())
         })));
     }
-    let tree = run_tree_torture(&TreeTortureConfig {
+    let tree = run(&TreeTortureConfig {
         levels: vec![1],
         seeds: vec![1],
         ..TreeTortureConfig::default()
     });
-    let serve = run_serve_torture(&ServeTortureConfig {
+    let serve = run(&ServeTortureConfig {
         seeds: vec![1],
         ..ServeTortureConfig::default()
     });

@@ -25,9 +25,10 @@
 
 use supermem::metrics::TextTable;
 use supermem::nvm::FaultClass;
+use supermem::torture;
 use supermem_bench::Report;
 use supermem_kv::torture::KV_TORTURE_SCHEMES;
-use supermem_kv::{kv_crash_points, kv_run_torture, KvClassification, KvTortureConfig};
+use supermem_kv::{kv_crash_points, kv_run_torture, KvTortureConfig};
 
 fn main() {
     let cfg = KvTortureConfig::default();
@@ -35,45 +36,26 @@ fn main() {
 
     let by_scheme = report.table();
 
-    let mut by_class = TextTable::new(
-        [
-            "fault",
-            "scheme",
-            "cases",
-            "recovered-committed",
-            "lost-unacked-tail",
-            "detected",
-            "silent",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
+    // The per-scheme table's columns, minus the verdict, one row per
+    // (fault class, scheme).
+    let mut headers = vec!["fault".to_owned()];
+    headers.extend_from_slice(&by_scheme.headers()[..6]);
+    let mut by_class = TextTable::new(headers);
     for class in cfg.classes.iter().copied() {
-        for scheme in KV_TORTURE_SCHEMES {
-            let cell = |c| {
-                report
-                    .results
-                    .iter()
-                    .filter(|r| {
-                        r.case.scheme == scheme && r.case.class == class && r.classification == c
-                    })
-                    .count()
-            };
-            let cases = cell(KvClassification::RecoveredCommitted)
-                + cell(KvClassification::LostUnackedTail)
-                + cell(KvClassification::Detected)
-                + cell(KvClassification::Silent);
-            by_class.row(vec![
-                class
-                    .map_or("none (crash only)", FaultClass::name)
-                    .to_owned(),
-                scheme.name().to_owned(),
-                cases.to_string(),
-                cell(KvClassification::RecoveredCommitted).to_string(),
-                cell(KvClassification::LostUnackedTail).to_string(),
-                cell(KvClassification::Detected).to_string(),
-                cell(KvClassification::Silent).to_string(),
-            ]);
+        let slice = torture::Report::<KvTortureConfig> {
+            results: report
+                .results
+                .iter()
+                .filter(|r| r.case.class == class)
+                .cloned()
+                .collect(),
+        };
+        for (scheme, counts) in slice.tallies() {
+            let fault = class.map_or("none (crash only)", FaultClass::name);
+            let mut row = vec![fault.to_owned(), scheme];
+            row.push(counts.iter().sum::<u64>().to_string());
+            row.extend(counts.map(|n| n.to_string()));
+            by_class.row(row);
         }
     }
 

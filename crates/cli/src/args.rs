@@ -1,5 +1,6 @@
 //! Flag parsing (dependency-free).
 
+use supermem::torture::flag_value;
 use supermem::workloads::WorkloadKind;
 use supermem::{RunConfig, Scheme};
 
@@ -60,76 +61,44 @@ pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
     let mut csv = false;
     let mut leftover = Vec::new();
     let mut it = argv.iter().peekable();
-    let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                 flag: &str|
-     -> Result<String, ArgError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    };
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => rc.scheme = parse_scheme(&value(&mut it, "--scheme")?)?,
+        let flag = arg.as_str();
+        match flag {
+            "--scheme" => rc.scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
             "--workload" => {
-                let w = value(&mut it, "--workload")?;
+                let w: String = flag_value(&mut it, flag)?;
                 rc.kind = WorkloadKind::from_name(&w)
                     .ok_or_else(|| ArgError(format!("unknown workload `{w}`")))?;
             }
-            "--txns" => {
-                rc.txns = value(&mut it, "--txns")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --txns".into()))?;
-            }
-            "--req" => rc.req_bytes = parse_size(&value(&mut it, "--req")?)?,
-            "--wq" => {
-                rc.write_queue_entries = value(&mut it, "--wq")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --wq".into()))?;
-            }
-            "--cc" => rc.counter_cache_bytes = parse_size(&value(&mut it, "--cc")?)?,
+            "--txns" => rc.txns = flag_value(&mut it, flag)?,
+            "--req" => rc.req_bytes = parse_size(&flag_value::<String>(&mut it, flag)?)?,
+            "--wq" => rc.write_queue_entries = flag_value(&mut it, flag)?,
+            "--cc" => rc.counter_cache_bytes = parse_size(&flag_value::<String>(&mut it, flag)?)?,
             "--channels" => {
-                rc.channels = value(&mut it, "--channels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --channels".into()))?;
-                if rc.channels == 0 || !rc.channels.is_power_of_two() {
+                rc.channels = flag_value(&mut it, flag)?;
+                if !rc.channels.is_power_of_two() {
                     return Err(ArgError("--channels must be a power of two".into()));
                 }
             }
-            "--programs" => {
-                rc.programs = value(&mut it, "--programs")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --programs".into()))?;
-            }
-            "--seed" => {
-                rc.seed = value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seed".into()))?;
-            }
+            "--programs" => rc.programs = flag_value(&mut it, flag)?,
+            "--seed" => rc.seed = flag_value(&mut it, flag)?,
             "--read-pct" => {
-                rc.ycsb_read_pct = value(&mut it, "--read-pct")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --read-pct".into()))?;
+                rc.ycsb_read_pct = flag_value(&mut it, flag)?;
                 if rc.ycsb_read_pct > 100 {
                     return Err(ArgError("--read-pct must be 0..=100".into()));
                 }
             }
             "--integrity-tree" => rc.integrity_tree = true,
             "--persisted-levels" => {
-                let n: u32 = value(&mut it, "--persisted-levels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --persisted-levels".into()))?;
                 // The frontier only means anything with the tree armed.
                 rc.integrity_tree = true;
-                rc.persisted_levels = Some(n);
+                rc.persisted_levels = Some(flag_value(&mut it, flag)?);
             }
             "--run-threads" => {
-                let n: usize = value(&mut it, "--run-threads")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --run-threads".into()))?;
-                if n == 0 {
+                rc.run_threads = flag_value(&mut it, flag)?;
+                if rc.run_threads == 0 {
                     return Err(ArgError("--run-threads must be at least 1".into()));
                 }
-                rc.run_threads = n;
             }
             "--csv" => csv = true,
             other => {

@@ -19,7 +19,8 @@ use supermem_serve::{run_serve, ServeConfig, ServeTortureConfig, StructureKind, 
 
 use crate::args::{parse_run_flags, parse_scheme, ArgError, Parsed};
 
-/// Every scheme `supermem crash` sweeps when none is named.
+/// Every scheme: the ones `supermem crash` sweeps when none is named,
+/// and `supermem list` prints.
 const ALL_SCHEMES: [Scheme; 9] = [
     Scheme::Unsec,
     Scheme::WriteBackIdeal,
@@ -282,14 +283,13 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
 fn crash_sweep_scheme(scheme: Scheme, channels: usize) -> Result<(u64, u64, u64, u64), String> {
     let data = TortureConfig::default();
     let group = (scheme, channels);
-    let cfg = TortureConfig::machine(group);
-    let base = TortureConfig::base(&cfg, group);
+    let (mem, (), cfg) = TortureConfig::base(group);
     let total = torture::crash_points(&data, group, 1);
 
     let (mut old, mut new, mut bad) = (0u64, 0u64, 0u64);
     for k in 1..=total {
         let case = TortureConfig::case(group, None, k, 1);
-        let (machine, fired) = torture::crash_image(&data, &base, &case);
+        let (machine, fired) = torture::crash_image(&data, &mem, &(), &case);
         if !fired {
             return Err(format!(
                 "{scheme}: crash armed after {k} appends never fired \
@@ -332,19 +332,12 @@ pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
     let mut channels = 1usize;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => {
-                let s = it
-                    .next()
-                    .ok_or_else(|| ArgError("--scheme needs a value".into()))?;
-                only = Some(parse_scheme(s)?);
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--scheme" => only = Some(parse_scheme(&flag_value::<String>(&mut it, flag)?)?),
             "--channels" => {
-                channels = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ArgError("invalid --channels".into()))?;
-                if channels == 0 || !channels.is_power_of_two() {
+                channels = flag_value(&mut it, flag)?;
+                if !channels.is_power_of_two() {
                     return Err(ArgError("--channels must be a power of two".into()));
                 }
             }
@@ -421,7 +414,7 @@ fn campaign<S: Subject>(argv: &[String]) -> Result<(), ArgError> {
     let report = torture::run(&subject);
     let mut rep = Report::new(S::NAME);
     rep.section(S::TITLE, report.table());
-    rep.footnote(&report.footnote(&subject));
+    rep.footnote(&report.footnote());
     rep.footnote(S::LEGEND);
     rep.emit();
 
@@ -718,23 +711,14 @@ fn check_one(cc: &CheckConfig) -> Result<CheckReport, ArgError> {
 /// Finds the smallest transaction count (halving from `txns`) at which
 /// `cc` still reports a violation — the minimal reproducer.
 fn shrink_repro(cc: &CheckConfig, txns: u64) -> u64 {
-    let mut best = txns;
-    let mut t = txns / 2;
-    while t >= 1 {
+    torture::halve(txns, |t| {
         let smaller = CheckConfig {
             name: cc.name,
             runs: cc.runs.iter().map(|rc| rc.clone().with_txns(t)).collect(),
             trace: cc.trace,
         };
-        match check_one(&smaller) {
-            Ok(r) if !r.is_clean() => {
-                best = t;
-                t /= 2;
-            }
-            _ => break,
-        }
-    }
-    best
+        matches!(check_one(&smaller), Ok(r) if !r.is_clean())
+    })
 }
 
 /// `supermem check [--json] [--txns N] [--config NAME] [--channels N]
@@ -748,29 +732,20 @@ pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
     let mut mutate: Option<Mutation> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--json" => json = true,
-            "--txns" => {
-                txns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ArgError("invalid --txns".into()))?;
-            }
+            "--txns" => txns = flag_value(&mut it, flag)?,
             "--channels" => {
-                channels = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ArgError("invalid --channels".into()))?;
-                if channels == 0 || !channels.is_power_of_two() {
+                channels = flag_value(&mut it, flag)?;
+                if !channels.is_power_of_two() {
                     return Err(ArgError("--channels must be a power of two".into()));
                 }
             }
             "--config" => only = it.next().cloned(),
             "--mutate" => {
-                let m = it
-                    .next()
-                    .ok_or_else(|| ArgError("--mutate needs a value".into()))?;
-                mutate = Some(Mutation::parse(m).ok_or_else(|| {
+                let m: String = flag_value(&mut it, flag)?;
+                mutate = Some(Mutation::parse(&m).ok_or_else(|| {
                     ArgError(format!(
                         "unknown mutation `{m}` (expected one of: wt-off pair-split \
                          cwc-newest rsr-skip tree-skip tree-late tree-double-root)"
@@ -887,13 +862,12 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
     let mut json = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--structure" => {
-                let s = it
-                    .next()
-                    .ok_or_else(|| ArgError("--structure needs a value".into()))?;
+                let s: String = flag_value(&mut it, flag)?;
                 if s != "all" {
-                    structure = Some(StructureKind::parse(s).ok_or_else(|| {
+                    structure = Some(StructureKind::parse(&s).ok_or_else(|| {
                         ArgError(format!("unknown structure `{s}` (stack queue hash all)"))
                     })?);
                 }
@@ -920,9 +894,7 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
                     .ok_or_else(|| ArgError("invalid --depth".into()))?;
             }
             "--crash" => {
-                let c = it
-                    .next()
-                    .ok_or_else(|| ArgError("--crash needs a value".into()))?;
+                let c: String = flag_value(&mut it, flag)?;
                 crash = match c.as_str() {
                     "all" => CrashMode::All,
                     "none" => CrashMode::Final,
@@ -936,10 +908,8 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
             "--reduce" => reduce = true,
             "--json" => json = true,
             "--mutate" => {
-                let m = it
-                    .next()
-                    .ok_or_else(|| ArgError("--mutate needs a value".into()))?;
-                mutate = Some(Mutant::parse(m).ok_or_else(|| {
+                let m: String = flag_value(&mut it, flag)?;
+                mutate = Some(Mutant::parse(&m).ok_or_else(|| {
                     ArgError(format!(
                         "unknown mutant `{m}` (expected one of: skip-linearize \
                          complete-first drop-invalidate skip-scan)"
@@ -1051,17 +1021,7 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
 /// `supermem list`
 pub fn cmd_list() {
     println!("schemes:");
-    for s in [
-        supermem::Scheme::Unsec,
-        supermem::Scheme::WriteBackIdeal,
-        supermem::Scheme::WriteThrough,
-        supermem::Scheme::WtCwc,
-        supermem::Scheme::WtXbank,
-        supermem::Scheme::SuperMem,
-        supermem::Scheme::WtSameBank,
-        supermem::Scheme::Osiris,
-        supermem::Scheme::Sca,
-    ] {
+    for s in ALL_SCHEMES {
         println!("  {s}");
     }
     println!("workloads:");

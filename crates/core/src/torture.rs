@@ -126,17 +126,9 @@ impl Verdict for Classification {
 /// A subject's classification of one case.
 pub trait Verdict: Copy + Eq + Debug + Display + Send + Sync + 'static {
     /// Every classification in tally-column order: the subject's two
-    /// clean outcomes, then detected, then SILENT. The column headings
-    /// are the display spellings, lower-cased.
+    /// clean outcomes, then detected (`ALL[2]`), then SILENT (`ALL[3]`).
+    /// The column headings are the display spellings, lower-cased.
     const ALL: [Self; 4];
-}
-
-fn detected<K: Verdict>() -> K {
-    K::ALL[2]
-}
-
-fn silent<K: Verdict>() -> K {
-    K::ALL[3]
 }
 
 /// One axis of injectable faults.
@@ -189,7 +181,7 @@ impl Fault for Option<FaultClass> {
 /// One crash-torture subject: a campaign configuration that knows how to
 /// build, crash, recover and judge its workload. The harness does the
 /// rest.
-pub trait Subject: Sync + Sized {
+pub trait Subject: Default + Sync + Sized {
     /// Everything a case fixes besides its fault, crash point and seed.
     type Group: Copy;
     /// The fault axis.
@@ -198,8 +190,9 @@ pub trait Subject: Sync + Sized {
     type Case: Copy + PartialEq + Debug + Send + Sync;
     /// How the judge classifies a case.
     type Class: Verdict;
-    /// The durable pre-workload state every case of a group clones.
-    type Base: Clone;
+    /// The subject's own state beside the memory (a store or service
+    /// handle), cloned with it for every case.
+    type State: Clone;
     /// What the judge checks a recovered image against.
     type Oracle;
     /// Evidence the judge returns beside its classification.
@@ -220,22 +213,14 @@ pub trait Subject: Sync + Sized {
     const VERDICT_COLUMN: bool;
     /// The valueless flag that routes a command line to this subject.
     const MARKER: Option<&'static str>;
-    /// The group flags this subject takes besides the shared `--fault`,
-    /// `--point`, `--seed` and `--seeds`.
-    const FLAGS: &'static [&'static str];
 
-    /// The subject's default campaign, overridden by `flags`.
-    fn configure(flags: Flags<Self::Fault>) -> Result<Self, String>;
-    /// Groups in sweep order, each with the seeds it runs (innermost).
-    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)>;
-    /// The faults every crash point is crossed with.
-    fn faults(&self) -> &[Self::Fault];
-    /// The campaign's seed list.
-    fn seeds(&self) -> &[u64];
-    /// The single crash point to run, if set (clamped to each group's).
-    fn point(&self) -> Option<u64>;
-    /// Entries on the group axis, as the footnote counts them.
-    fn axis_len(&self) -> usize;
+    /// Applies one command-line flag to the campaign; `Ok(false)` if the
+    /// subject takes no such flag.
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String>;
+    /// The campaign: its groups in sweep order, each with the seeds it
+    /// runs (innermost); the faults every crash point is crossed with;
+    /// and the single crash point to run, if set.
+    fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>);
 
     /// Assembles a case.
     fn case(group: Self::Group, fault: Self::Fault, point: u64, seed: u64) -> Self::Case;
@@ -246,16 +231,13 @@ pub trait Subject: Sync + Sized {
     /// The CLI invocation reproducing exactly this case.
     fn repro(case: &Self::Case) -> String;
 
-    /// The machine a group runs on.
-    fn machine(group: Self::Group) -> Config;
-    /// The durable state the workload starts from.
-    fn base(cfg: &Config, group: Self::Group) -> Self::Base;
-    /// The memory inside a state, where the crash is armed.
-    fn mem(state: &mut Self::Base) -> &mut DirectMem;
-    /// Runs the tortured workload of `seed` on `state`.
-    fn workload(&self, state: &mut Self::Base, group: Self::Group, seed: u64);
-    /// The shadow oracle of `seed`'s workload from `base`.
-    fn oracle(&self, base: &Self::Base, group: Self::Group, seed: u64) -> Self::Oracle;
+    /// The durable memory and subject state every case of a group
+    /// starts from, and the machine configuration they run on.
+    fn base(group: Self::Group) -> (DirectMem, Self::State, Config);
+    /// Runs the tortured workload of `seed`.
+    fn workload(&self, mem: &mut DirectMem, state: &mut Self::State, seed: u64);
+    /// The shadow oracle of `seed`'s workload from the base.
+    fn oracle(&self, mem: &DirectMem, state: &Self::State, seed: u64) -> Self::Oracle;
     /// Judges a recovered image against the oracle.
     fn judge(
         &self,
@@ -279,31 +261,6 @@ pub struct CaseResult<S: Subject> {
     pub evidence: S::Evidence,
 }
 
-/// One row of a campaign's tally table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tally {
-    /// The group's row label.
-    pub label: String,
-    /// Cases per classification, in [`Verdict::ALL`] order.
-    pub counts: [u64; 4],
-}
-
-impl Tally {
-    /// Total cases in the row.
-    pub fn cases(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// One-word verdict for the row.
-    pub fn verdict(&self) -> &'static str {
-        if self.counts[3] > 0 {
-            "SILENT CORRUPTION"
-        } else {
-            "fail-safe"
-        }
-    }
-}
-
 /// Everything a campaign produced.
 #[derive(Debug, Clone)]
 pub struct Report<S: Subject> {
@@ -321,7 +278,7 @@ impl<S: Subject> Report<S> {
     pub fn silent(&self) -> Vec<&CaseResult<S>> {
         self.results
             .iter()
-            .filter(|r| r.classification == silent())
+            .filter(|r| r.classification == S::Class::ALL[3])
             .collect()
     }
 
@@ -333,18 +290,16 @@ impl<S: Subject> Report<S> {
             .count() as u64
     }
 
-    /// Per-row tallies, in first-seen order.
-    pub fn tallies(&self) -> Vec<Tally> {
-        let mut out: Vec<Tally> = Vec::new();
+    /// Per-row tallies, in first-seen order: each row's label and its
+    /// cases per classification, in [`Verdict::ALL`] order.
+    pub fn tallies(&self) -> Vec<(String, [u64; 4])> {
+        let mut out: Vec<(String, [u64; 4])> = Vec::new();
         for r in &self.results {
             let label = S::label(&r.case);
-            let row = match out.iter().position(|t| t.label == label) {
+            let row = match out.iter().position(|(l, _)| *l == label) {
                 Some(row) => row,
                 None => {
-                    out.push(Tally {
-                        label,
-                        counts: [0; 4],
-                    });
+                    out.push((label, [0; 4]));
                     out.len() - 1
                 }
             };
@@ -352,13 +307,14 @@ impl<S: Subject> Report<S> {
                 .iter()
                 .position(|&c| c == r.classification)
                 .unwrap_or(3);
-            out[row].counts[col] += 1;
+            out[row].1[col] += 1;
         }
         out
     }
 
-    /// The tally table: one row per group label, a column per
-    /// classification.
+    /// The tally table: one row per label, with its case count, a column
+    /// per classification, and a fail-safe verdict unless a case was
+    /// SILENT.
     pub fn table(&self) -> TextTable {
         let mut headers = vec![S::AXIS.to_owned(), "cases".to_owned()];
         headers.extend(S::Class::ALL.map(|c| c.to_string().to_ascii_lowercase()));
@@ -366,27 +322,46 @@ impl<S: Subject> Report<S> {
             headers.push("verdict".to_owned());
         }
         let mut t = TextTable::new(headers);
-        for tally in self.tallies() {
-            let mut row = vec![tally.label.clone(), tally.cases().to_string()];
-            row.extend(tally.counts.map(|n| n.to_string()));
+        for (label, counts) in self.tallies() {
+            let mut row = vec![label, counts.iter().sum::<u64>().to_string()];
+            row.extend(counts.map(|n| n.to_string()));
             if S::VERDICT_COLUMN {
-                row.push(tally.verdict().to_owned());
+                let silent = counts[3] > 0;
+                row.push(
+                    if silent {
+                        "SILENT CORRUPTION"
+                    } else {
+                        "fail-safe"
+                    }
+                    .to_owned(),
+                );
             }
             t.row(row);
         }
         t
     }
 
-    /// The campaign-size footnote.
-    pub fn footnote(&self, subject: &S) -> String {
+    /// The campaign-size footnote: injections, and the distinct groups,
+    /// faults and seeds they covered.
+    pub fn footnote(&self) -> String {
+        let (mut faults, mut seeds) = (Vec::new(), Vec::new());
+        for r in &self.results {
+            let (_, fault, _, seed) = S::parts(&r.case);
+            if !faults.contains(&fault) {
+                faults.push(fault);
+            }
+            if !seeds.contains(&seed) {
+                seeds.push(seed);
+            }
+        }
         format!(
             "{} injections across {} {}(s), {} {}, {} seed(s)",
             self.total(),
-            subject.axis_len(),
+            self.tallies().len(),
             S::AXIS,
-            subject.faults().len(),
+            faults.len(),
             S::FAULTS,
-            subject.seeds().len()
+            seeds.len()
         )
     }
 }
@@ -395,10 +370,9 @@ impl<S: Subject> Report<S> {
 /// crosses in `group` (the final shutdown drain included): the crash
 /// points the sweep visits, counted by a fault-free dry run.
 pub fn crash_points<S: Subject>(subject: &S, group: S::Group, seed: u64) -> u64 {
-    let mut dry = S::base(&S::machine(group), group);
-    let before = S::mem(&mut dry).controller().append_events();
-    subject.workload(&mut dry, group, seed);
-    let mem = S::mem(&mut dry);
+    let (mut mem, mut state, _) = S::base(group);
+    let before = mem.controller().append_events();
+    subject.workload(&mut mem, &mut state, seed);
     mem.shutdown();
     mem.controller().append_events() - before
 }
@@ -407,16 +381,17 @@ pub fn crash_points<S: Subject>(subject: &S, group: S::Group, seed: u64) -> u64 
 /// crash points × seeds.
 pub fn cases<S: Subject>(subject: &S) -> Vec<S::Case> {
     let mut cases = Vec::new();
-    for (group, seeds) in subject.groups() {
+    let (groups, faults, point) = subject.shape();
+    for (group, seeds) in groups {
         let Some(&first) = seeds.first() else {
             continue;
         };
         let total = crash_points(subject, group, first);
-        let points: Vec<u64> = match subject.point() {
+        let points: Vec<u64> = match point {
             Some(p) => vec![p.clamp(1, total)],
             None => (1..=total).collect(),
         };
-        for &fault in subject.faults() {
+        for &fault in faults {
             for &point in &points {
                 cases.extend(seeds.iter().map(|&seed| S::case(group, fault, point, seed)));
             }
@@ -433,24 +408,23 @@ pub fn run<S: Subject>(subject: &S) -> Report<S> {
     }
 }
 
-/// Runs `case`'s workload from `base` to its crash and returns the
+/// Runs `case`'s workload from the base to its crash and returns the
 /// machine crash image with the case's fault applied, and whether the
 /// armed crash fired (`false`: the workload finished first, and the
 /// image is of a clean shutdown).
 pub fn crash_image<S: Subject>(
     subject: &S,
-    base: &S::Base,
+    mem: &DirectMem,
+    state: &S::State,
     case: &S::Case,
 ) -> (MachineCrashImage, bool) {
-    let (group, fault, point, seed) = S::parts(case);
-    let mut state = base.clone();
-    let ctl = S::mem(&mut state).controller_mut();
-    ctl.arm_crash_after_appends(point);
+    let (_, fault, point, seed) = S::parts(case);
+    let (mut mem, mut state) = (mem.clone(), state.clone());
+    mem.controller_mut().arm_crash_after_appends(point);
     if let Some(spec) = fault.plan(seed) {
-        ctl.set_fault_plan(spec);
+        mem.controller_mut().set_fault_plan(spec);
     }
-    subject.workload(&mut state, group, seed);
-    let mem = S::mem(&mut state);
+    subject.workload(&mut mem, &mut state, seed);
     let (mut machine, fired) = match mem.controller_mut().take_machine_crash_image() {
         Some(m) => (m, true),
         None => {
@@ -468,13 +442,12 @@ pub fn crash_image<S: Subject>(
 /// the crash, recover the image, and let the subject judge it.
 pub fn run_case<S: Subject>(subject: &S, case: &S::Case) -> CaseResult<S> {
     let (group, _, _, seed) = S::parts(case);
-    let cfg = S::machine(group);
-    let base = S::base(&cfg, group);
-    let oracle = subject.oracle(&base, group, seed);
-    let (machine, _) = crash_image(subject, &base, case);
+    let (mem, state, cfg) = S::base(group);
+    let oracle = subject.oracle(&mem, &state, seed);
+    let (machine, _) = crash_image(subject, &mem, &state, case);
     let (classification, detail, evidence) = match recover_image(&cfg, machine) {
         Ok(image) => subject.judge(case, &oracle, image),
-        Err(detail) => (detected(), detail, S::Evidence::default()),
+        Err(detail) => (S::Class::ALL[2], detail, S::Evidence::default()),
     };
     CaseResult {
         case: *case,
@@ -490,14 +463,20 @@ pub fn run_case<S: Subject>(subject: &S, case: &S::Case) -> CaseResult<S> {
 pub fn shrink<S: Subject>(subject: &S, case: &S::Case) -> S::Case {
     let target = run_case(subject, case).classification;
     let (group, fault, point, seed) = S::parts(case);
-    let mut best = *case;
-    let mut probe = point / 2;
-    while probe >= 1 {
-        let smaller = S::case(group, fault, probe, seed);
-        if run_case(subject, &smaller).classification != target {
-            break;
-        }
-        best = smaller;
+    let at = |p| S::case(group, fault, p, seed);
+    at(halve(point, |p| {
+        run_case(subject, &at(p)).classification == target
+    }))
+}
+
+/// The halving search behind every minimal reproducer: the last of
+/// `start`, `start / 2`, `start / 4`, … (down to 1) for which `keeps`
+/// holds, stopping at the first that fails.
+pub fn halve(start: u64, keeps: impl Fn(u64) -> bool) -> u64 {
+    let mut best = start;
+    let mut probe = start / 2;
+    while probe >= 1 && keeps(probe) {
+        best = probe;
         probe /= 2;
     }
     best
@@ -565,45 +544,41 @@ pub fn recover_image(cfg: &Config, machine: MachineCrashImage) -> Result<Recover
     }
 }
 
-/// A campaign command line, parsed but not yet applied to a subject's
-/// defaults.
+/// One parsed campaign flag.
 #[derive(Debug, Clone)]
-pub struct Flags<F> {
+pub enum Flag<F> {
     /// `--scheme S`.
-    pub scheme: Option<Scheme>,
+    Scheme(Scheme),
     /// `--fault F`.
-    pub faults: Option<Vec<F>>,
+    Fault(F),
     /// `--point K`.
-    pub point: Option<u64>,
+    Point(u64),
     /// `--seed N` (that seed) or `--seeds COUNT` (seeds `1..=COUNT`).
-    pub seeds: Option<Vec<u64>>,
+    Seeds(Vec<u64>),
     /// `--channels N`, a power of two.
-    pub channels: Option<usize>,
+    Channels(usize),
     /// `--persisted-levels L`, at least 1.
-    pub levels: Option<u32>,
+    Levels(u32),
     /// `--structure NAME`, as given.
-    pub structure: Option<String>,
+    Structure(String),
 }
 
-/// Takes the next argument as `flag`'s value.
-pub fn flag_value<T: FromStr>(it: &mut std::slice::Iter<String>, flag: &str) -> Result<T, String> {
+/// Takes the next argument as `flag`'s value: the one value parser of
+/// the `supermem` command line.
+pub fn flag_value<'a, T: FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<T, String> {
     let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse().map_err(|_| format!("invalid {flag} `{raw}`"))
 }
 
 /// Parses a campaign command line (the arguments after the subcommand)
-/// into subject `S`: the one grammar of `supermem torture`,
-/// `torture --tree`, `serve --torture` and `kv torture`.
+/// into subject `S`, over its defaults: the one grammar of
+/// `supermem torture`, `torture --tree`, `serve --torture` and
+/// `kv torture`.
 pub fn parse<S: Subject>(argv: &[String]) -> Result<S, String> {
-    let mut f = Flags {
-        scheme: None,
-        faults: None,
-        point: None,
-        seeds: None,
-        channels: None,
-        levels: None,
-        structure: None,
-    };
+    let mut subject = S::default();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
@@ -611,44 +586,41 @@ pub fn parse<S: Subject>(argv: &[String]) -> Result<S, String> {
         if flag == "--json" || S::MARKER == Some(flag) {
             continue;
         }
-        let shared = matches!(flag, "--fault" | "--point" | "--seed" | "--seeds");
-        if !shared && !S::FLAGS.contains(&flag) {
-            return Err(format!("unknown flag `{flag}`"));
-        }
-        match flag {
+        let parsed = match flag {
             "--fault" => {
                 let name: String = flag_value(&mut it, flag)?;
                 let all = S::Fault::all();
                 let fault = all.iter().find(|f| f.name().eq_ignore_ascii_case(&name));
                 let names: Vec<&str> = all.iter().map(|f| f.name()).collect();
-                f.faults = Some(vec![*fault.ok_or_else(|| {
+                Flag::Fault(*fault.ok_or_else(|| {
                     format!(
                         "unknown fault `{name}` (expected one of: {})",
                         names.join(" ")
                     )
-                })?]);
+                })?)
             }
-            "--point" => f.point = Some(flag_value(&mut it, flag)?),
-            "--seed" => f.seeds = Some(vec![flag_value(&mut it, flag)?]),
+            "--point" => Flag::Point(flag_value(&mut it, flag)?),
+            "--seed" => Flag::Seeds(vec![flag_value(&mut it, flag)?]),
             "--seeds" => {
                 let n: u64 = flag_value(&mut it, flag)?;
                 if n == 0 {
                     return Err("--seeds must be at least 1".into());
                 }
-                f.seeds = Some((1..=n).collect());
+                Flag::Seeds((1..=n).collect())
             }
             "--scheme" => {
                 let name: String = flag_value(&mut it, flag)?;
-                f.scheme = Some(Scheme::parse(&name).ok_or_else(|| {
-                    format!("unknown scheme `{}`", name.to_ascii_lowercase())
-                })?);
+                Flag::Scheme(
+                    Scheme::parse(&name)
+                        .ok_or_else(|| format!("unknown scheme `{}`", name.to_ascii_lowercase()))?,
+                )
             }
             "--channels" => {
                 let n: usize = flag_value(&mut it, flag)?;
                 if !n.is_power_of_two() {
                     return Err("--channels must be a power of two".into());
                 }
-                f.channels = Some(n);
+                Flag::Channels(n)
             }
             "--persisted-levels" => {
                 let n: u32 = flag_value(&mut it, flag)?;
@@ -657,12 +629,16 @@ pub fn parse<S: Subject>(argv: &[String]) -> Result<S, String> {
                                 nothing and leaves no tree region to torture)"
                         .into());
                 }
-                f.levels = Some(n);
+                Flag::Levels(n)
             }
-            _ => f.structure = Some(flag_value(&mut it, flag)?),
+            "--structure" => Flag::Structure(flag_value(&mut it, flag)?),
+            _ => return Err(format!("unknown flag `{flag}`")),
+        };
+        if !subject.set(parsed)? {
+            return Err(format!("unknown flag `{flag}`"));
         }
     }
-    S::configure(f)
+    Ok(subject)
 }
 
 #[cfg(test)]
@@ -779,13 +755,13 @@ mod tests {
         let report = single(Scheme::WriteThrough, Some(FaultClass::BitFlip), &[7]);
         let tallies = report.tallies();
         assert_eq!(tallies.len(), 1);
-        let s = &tallies[0];
-        assert_eq!(s.label, "WT");
-        assert_eq!(s.cases(), report.total());
+        let (label, counts) = &tallies[0];
+        assert_eq!(label, "WT");
+        assert_eq!(counts.iter().sum::<u64>(), report.total());
         for (i, c) in Classification::ALL.into_iter().enumerate() {
-            assert_eq!(s.counts[i], report.count(c), "{c}");
+            assert_eq!(counts[i], report.count(c), "{c}");
         }
-        assert_eq!(s.verdict(), "fail-safe");
+        assert_eq!(counts[3], 0, "fail-safe");
     }
 
     #[test]
@@ -799,7 +775,7 @@ mod tests {
         };
         assert_eq!(
             tc.repro(),
-            "supermem torture --scheme wt+xbank --fault double-flip --point 5 --seed 9"
+            "supermem torture --scheme wt+xbank --fault double-flip --point 5 --seed 9 --channels 1"
         );
         let tc = TortureCase {
             scheme: Scheme::SuperMem,

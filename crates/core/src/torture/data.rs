@@ -6,7 +6,7 @@ use supermem_nvm::FaultClass;
 use supermem_persist::{recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager};
 use supermem_sim::Config;
 
-use super::{Classification, Fault, Flags, RecoveredImage, Subject};
+use super::{Classification, Fault, Flag, RecoveredImage, Subject};
 use crate::scheme::Scheme;
 
 /// Address of the data region the tortured transaction mutates.
@@ -54,19 +54,17 @@ pub struct TortureCase {
 }
 
 impl TortureCase {
-    /// The CLI invocation reproducing exactly this case.
+    /// The CLI invocation reproducing exactly this case. It always names
+    /// its channel count: the CLI's default sweeps both 1 and 2.
     pub fn repro(&self) -> String {
-        let mut line = format!(
-            "supermem torture --scheme {} --fault {} --point {} --seed {}",
+        format!(
+            "supermem torture --scheme {} --fault {} --point {} --seed {} --channels {}",
             self.scheme.name().to_ascii_lowercase(),
             self.class.name(),
             self.point,
-            self.seed
-        );
-        if self.channels != 1 {
-            line.push_str(&format!(" --channels {}", self.channels));
-        }
-        line
+            self.seed,
+            self.channels
+        )
     }
 }
 
@@ -101,13 +99,13 @@ impl Default for TortureConfig {
     }
 }
 
-/// Builds the pre-transaction system: the old data durably persisted,
-/// queues drained.
-pub(super) fn base_system(cfg: &Config) -> DirectMem {
-    let mut base = DirectMem::new(cfg);
+/// Builds the pre-transaction system on `cfg`: the old data durably
+/// persisted, queues drained.
+pub(super) fn base_system(cfg: Config) -> (DirectMem, (), Config) {
+    let mut base = DirectMem::new(&cfg);
     base.persist(DATA_ADDR, &[OLD_BYTE; DATA_LEN]);
     base.shutdown();
-    base
+    (base, (), cfg)
 }
 
 /// The tortured workload: one durable undo-logged transaction flipping
@@ -136,13 +134,21 @@ pub fn oracle_state(mem: &mut RecoveredMemory) -> Option<Classification> {
 /// The judge of the data and tree subjects: replay or roll back the
 /// transaction log, then check the data against the only two legal
 /// states, the pre- and post-transaction images.
-pub(super) fn judge_txn(mut image: RecoveredImage) -> (Classification, String) {
+pub(super) fn judge_txn(mut image: RecoveredImage) -> (Classification, String, ()) {
     let outcome = match recover_transactions(&mut image.mem, LOG_ADDR) {
         Ok(o) => o,
-        Err(e) => return (Classification::Detected, format!("log recovery failed: {e}")),
+        Err(e) => {
+            return (
+                Classification::Detected,
+                format!("log recovery failed: {e}"),
+                (),
+            )
+        }
     };
-    match oracle_state(&mut image.mem) {
-        Some(c @ Classification::RecoveredOld) => (c, format!("old state intact after {outcome:?}")),
+    let (class, detail) = match oracle_state(&mut image.mem) {
+        Some(c @ Classification::RecoveredOld) => {
+            (c, format!("old state intact after {outcome:?}"))
+        }
         Some(c) => (c, format!("new state intact after {outcome:?}")),
         None => match image.signals(false) {
             Some(signals) => (
@@ -158,7 +164,8 @@ pub(super) fn judge_txn(mut image: RecoveredImage) -> (Classification, String) {
                 format!("data is neither oracle state and nothing detected it (after {outcome:?})"),
             ),
         },
-    }
+    };
+    (class, detail, ())
 }
 
 impl Subject for TortureConfig {
@@ -166,7 +173,7 @@ impl Subject for TortureConfig {
     type Fault = Option<FaultClass>;
     type Case = TortureCase;
     type Class = Classification;
-    type Base = DirectMem;
+    type State = ();
     type Oracle = ();
     type Evidence = ();
 
@@ -178,20 +185,20 @@ impl Subject for TortureConfig {
         "(detected = degraded but flagged by ECC/poison/dirty-shutdown or a typed error)";
     const VERDICT_COLUMN: bool = true;
     const MARKER: Option<&'static str> = None;
-    const FLAGS: &'static [&'static str] = &["--scheme", "--channels"];
 
-    fn configure(f: Flags<Self::Fault>) -> Result<Self, String> {
-        let d = Self::default();
-        Ok(Self {
-            schemes: f.scheme.map_or(d.schemes, |s| vec![s]),
-            classes: f.faults.unwrap_or(d.classes),
-            seeds: f.seeds.unwrap_or(d.seeds),
-            point: f.point,
-            channels: f.channels.map_or(d.channels, |n| vec![n]),
-        })
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String> {
+        match flag {
+            Flag::Scheme(s) => self.schemes = vec![s],
+            Flag::Fault(f) => self.classes = vec![f],
+            Flag::Point(p) => self.point = Some(p),
+            Flag::Seeds(s) => self.seeds = s,
+            Flag::Channels(n) => self.channels = vec![n],
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
-    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)> {
+    fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>) {
         let mut groups = Vec::new();
         for &channels in &self.channels {
             for &scheme in &self.schemes {
@@ -207,26 +214,11 @@ impl Subject for TortureConfig {
                 groups.push(((scheme, channels), self.seeds.clone()));
             }
         }
-        groups
+        (groups, &self.classes, self.point)
     }
 
-    fn faults(&self) -> &[Self::Fault] {
-        &self.classes
-    }
-
-    fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-
-    fn point(&self) -> Option<u64> {
-        self.point
-    }
-
-    fn axis_len(&self) -> usize {
-        self.schemes.len()
-    }
-
-    fn case((scheme, channels): Self::Group, class: Self::Fault, point: u64, seed: u64) -> TortureCase {
+    fn case(g: Self::Group, class: Self::Fault, point: u64, seed: u64) -> TortureCase {
+        let (scheme, channels) = g;
         TortureCase {
             scheme,
             class,
@@ -248,26 +240,22 @@ impl Subject for TortureConfig {
         c.repro()
     }
 
-    fn machine((scheme, channels): Self::Group) -> Config {
-        scheme.apply(Config::default()).with_channels(channels)
+    fn base((scheme, channels): Self::Group) -> (DirectMem, (), Config) {
+        base_system(scheme.apply(Config::default()).with_channels(channels))
     }
 
-    fn base(cfg: &Config, _: Self::Group) -> DirectMem {
-        base_system(cfg)
+    fn workload(&self, mem: &mut DirectMem, (): &mut (), _: u64) {
+        run_txn(mem);
     }
 
-    fn mem(state: &mut DirectMem) -> &mut DirectMem {
-        state
-    }
+    fn oracle(&self, _: &DirectMem, (): &(), _: u64) {}
 
-    fn workload(&self, state: &mut DirectMem, _: Self::Group, _: u64) {
-        run_txn(state);
-    }
-
-    fn oracle(&self, _: &DirectMem, _: Self::Group, _: u64) {}
-
-    fn judge(&self, _: &TortureCase, (): &(), image: RecoveredImage) -> (Classification, String, ()) {
-        let (class, detail) = judge_txn(image);
-        (class, detail, ())
+    fn judge(
+        &self,
+        _: &TortureCase,
+        (): &(),
+        image: RecoveredImage,
+    ) -> (Classification, String, ()) {
+        judge_txn(image)
     }
 }

@@ -8,7 +8,7 @@ use supermem_persist::DirectMem;
 use supermem_sim::Config;
 
 use super::data::{base_system, judge_txn, run_txn};
-use super::{Classification, Fault, Flags, RecoveredImage, Subject};
+use super::{Classification, Fault, Flag, RecoveredImage, Subject};
 use crate::scheme::Scheme;
 
 /// What the integrity-tree campaign injects into a crash image whose
@@ -27,23 +27,6 @@ pub enum TreeFault {
     Tamper,
 }
 
-impl TreeFault {
-    /// Stable CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            TreeFault::None => "none",
-            TreeFault::Media(c) => c.name(),
-            TreeFault::Tamper => "tamper",
-        }
-    }
-}
-
-impl std::fmt::Display for TreeFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// The tree fault axis; node-line strikes and tampering land on
 /// channel 0.
 impl Fault for TreeFault {
@@ -55,7 +38,11 @@ impl Fault for TreeFault {
     }
 
     fn name(self) -> &'static str {
-        TreeFault::name(self)
+        match self {
+            TreeFault::None => "none",
+            TreeFault::Media(c) => c.name(),
+            TreeFault::Tamper => "tamper",
+        }
     }
 
     fn plan(self, seed: u64) -> Option<FaultSpec> {
@@ -147,7 +134,7 @@ impl Subject for TreeTortureConfig {
     type Fault = TreeFault;
     type Case = TreeTortureCase;
     type Class = Classification;
-    type Base = DirectMem;
+    type State = ();
     type Oracle = ();
     type Evidence = ();
 
@@ -160,39 +147,21 @@ impl Subject for TreeTortureConfig {
         "(tamper = ECC-clean node-line forgery; only the recovery-time tree audit can catch it)";
     const VERDICT_COLUMN: bool = true;
     const MARKER: Option<&'static str> = Some("--tree");
-    const FLAGS: &'static [&'static str] = &["--persisted-levels"];
 
-    fn configure(f: Flags<TreeFault>) -> Result<Self, String> {
-        let d = Self::default();
-        Ok(Self {
-            levels: f.levels.map_or(d.levels, |n| vec![n]),
-            faults: f.faults.unwrap_or(d.faults),
-            seeds: f.seeds.unwrap_or(d.seeds),
-            point: f.point,
-        })
+    fn set(&mut self, flag: Flag<TreeFault>) -> Result<bool, String> {
+        match flag {
+            Flag::Levels(n) => self.levels = vec![n],
+            Flag::Fault(f) => self.faults = vec![f],
+            Flag::Point(p) => self.point = Some(p),
+            Flag::Seeds(s) => self.seeds = s,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
-    fn groups(&self) -> Vec<(u32, Vec<u64>)> {
-        self.levels
-            .iter()
-            .map(|&levels| (levels, self.seeds.clone()))
-            .collect()
-    }
-
-    fn faults(&self) -> &[TreeFault] {
-        &self.faults
-    }
-
-    fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-
-    fn point(&self) -> Option<u64> {
-        self.point
-    }
-
-    fn axis_len(&self) -> usize {
-        self.levels.len()
+    fn shape(&self) -> (Vec<(u32, Vec<u64>)>, &[TreeFault], Option<u64>) {
+        let groups = self.levels.iter().map(|&l| (l, self.seeds.clone()));
+        (groups.collect(), &self.faults, self.point)
     }
 
     fn case(levels: u32, fault: TreeFault, point: u64, seed: u64) -> TreeTortureCase {
@@ -216,26 +185,22 @@ impl Subject for TreeTortureConfig {
         c.repro()
     }
 
-    fn machine(levels: u32) -> Config {
-        tree_torture_config(levels)
+    fn base(levels: u32) -> (DirectMem, (), Config) {
+        base_system(tree_torture_config(levels))
     }
 
-    fn base(cfg: &Config, _: u32) -> DirectMem {
-        base_system(cfg)
+    fn workload(&self, mem: &mut DirectMem, (): &mut (), _: u64) {
+        run_txn(mem);
     }
 
-    fn mem(state: &mut DirectMem) -> &mut DirectMem {
-        state
-    }
+    fn oracle(&self, _: &DirectMem, (): &(), _: u64) {}
 
-    fn workload(&self, state: &mut DirectMem, _: u32, _: u64) {
-        run_txn(state);
-    }
-
-    fn oracle(&self, _: &DirectMem, _: u32, _: u64) {}
-
-    fn judge(&self, _: &TreeTortureCase, (): &(), image: RecoveredImage) -> (Classification, String, ()) {
-        let (class, detail) = judge_txn(image);
-        (class, detail, ())
+    fn judge(
+        &self,
+        _: &TreeTortureCase,
+        (): &(),
+        image: RecoveredImage,
+    ) -> (Classification, String, ()) {
+        judge_txn(image)
     }
 }

@@ -33,8 +33,7 @@ use supermem::nvm::FaultClass;
 use supermem::persist::DirectMem;
 use supermem::sim::Config;
 use supermem::torture::{
-    crash_points, run, run_case, CaseResult, Fault, Flags, RecoveredImage, Report, Subject,
-    Verdict,
+    crash_points, run, run_case, CaseResult, Fault, Flag, RecoveredImage, Report, Subject, Verdict,
 };
 use supermem::Scheme;
 
@@ -185,9 +184,10 @@ impl Default for KvTortureConfig {
     }
 }
 
-/// The formatted, durably shut-down starting state every case clones.
-fn base_system(cfg: &Config) -> (DirectMem, KvStore) {
-    let mut mem = DirectMem::new(cfg);
+/// The formatted, durably shut-down starting state on `cfg` every case
+/// clones.
+fn base_system(cfg: Config) -> (DirectMem, KvStore, Config) {
+    let mut mem = DirectMem::new(&cfg);
     // Justified panic: the torture layout is statically sized for the
     // op stream; formatting it cannot fail and a failure here would be
     // a harness bug, not a media event.
@@ -195,7 +195,7 @@ fn base_system(cfg: &Config) -> (DirectMem, KvStore) {
     let store = KvStore::format(&mut mem, kv_torture_layout(), KV_TORTURE_SNAPSHOT_EVERY)
         .expect("format torture store");
     mem.shutdown();
-    (mem, store)
+    (mem, store, cfg)
 }
 
 /// Runs one operation against the store.
@@ -242,7 +242,7 @@ impl Subject for KvTortureConfig {
     type Fault = Option<FaultClass>;
     type Case = KvTortureCase;
     type Class = KvClassification;
-    type Base = (DirectMem, KvStore);
+    type State = KvStore;
     type Oracle = ShadowOracle;
     type Evidence = Option<RecoveryResult>;
 
@@ -255,21 +255,20 @@ impl Subject for KvTortureConfig {
          flagged by a typed error, the recovery report, or ECC/poison/dirty-shutdown)";
     const VERDICT_COLUMN: bool = true;
     const MARKER: Option<&'static str> = None;
-    const FLAGS: &'static [&'static str] = &["--scheme", "--channels"];
 
-    fn configure(f: Flags<Self::Fault>) -> Result<Self, String> {
-        let d = Self::default();
-        Ok(Self {
-            schemes: f.scheme.map_or(d.schemes, |s| vec![s]),
-            classes: f.faults.unwrap_or(d.classes),
-            seeds: f.seeds.unwrap_or(d.seeds),
-            point: f.point,
-            channels: f.channels.map_or(d.channels, |n| vec![n]),
-            ops: d.ops,
-        })
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String> {
+        match flag {
+            Flag::Scheme(s) => self.schemes = vec![s],
+            Flag::Fault(f) => self.classes = vec![f],
+            Flag::Point(p) => self.point = Some(p),
+            Flag::Seeds(s) => self.seeds = s,
+            Flag::Channels(n) => self.channels = vec![n],
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
-    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)> {
+    fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>) {
         let mut groups = Vec::new();
         for &channels in &self.channels {
             for &scheme in &self.schemes {
@@ -278,26 +277,11 @@ impl Subject for KvTortureConfig {
                 }
             }
         }
-        groups
+        (groups, &self.classes, self.point)
     }
 
-    fn faults(&self) -> &[Self::Fault] {
-        &self.classes
-    }
-
-    fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-
-    fn point(&self) -> Option<u64> {
-        self.point
-    }
-
-    fn axis_len(&self) -> usize {
-        self.schemes.len()
-    }
-
-    fn case((scheme, channels): Self::Group, class: Self::Fault, point: u64, seed: u64) -> KvTortureCase {
+    fn case(g: Self::Group, class: Self::Fault, point: u64, seed: u64) -> KvTortureCase {
+        let (scheme, channels) = g;
         KvTortureCase {
             scheme,
             class,
@@ -319,19 +303,11 @@ impl Subject for KvTortureConfig {
         c.repro()
     }
 
-    fn machine((scheme, channels): Self::Group) -> Config {
-        scheme.apply(Config::default()).with_channels(channels)
+    fn base((scheme, channels): Self::Group) -> (DirectMem, KvStore, Config) {
+        base_system(scheme.apply(Config::default()).with_channels(channels))
     }
 
-    fn base(cfg: &Config, _: Self::Group) -> (DirectMem, KvStore) {
-        base_system(cfg)
-    }
-
-    fn mem(state: &mut (DirectMem, KvStore)) -> &mut DirectMem {
-        &mut state.0
-    }
-
-    fn workload(&self, (mem, store): &mut (DirectMem, KvStore), _: Self::Group, seed: u64) {
+    fn workload(&self, mem: &mut DirectMem, store: &mut KvStore, seed: u64) {
         for op in stream(seed, self.ops) {
             apply_op(store, mem, &op);
         }
@@ -339,8 +315,8 @@ impl Subject for KvTortureConfig {
 
     /// Dry-runs the op stream, recording each acknowledged op with the
     /// append count at its acknowledgement.
-    fn oracle(&self, base: &(DirectMem, KvStore), _: Self::Group, seed: u64) -> ShadowOracle {
-        let (mut mem, mut store) = base.clone();
+    fn oracle(&self, mem: &DirectMem, store: &KvStore, seed: u64) -> ShadowOracle {
+        let (mut mem, mut store) = (mem.clone(), store.clone());
         let before = mem.controller().append_events();
         let mut oracle = ShadowOracle::new();
         for op in stream(seed, self.ops) {

@@ -21,7 +21,7 @@
 use supermem::nvm::FaultClass;
 use supermem::persist::{DirectMem, SlotState};
 use supermem::sim::Config;
-use supermem::torture::{Classification, Fault, Flags, RecoveredImage, Subject};
+use supermem::torture::{Classification, Fault, Flag, RecoveredImage, Subject};
 use supermem::Scheme;
 
 use crate::service::{recover, Service, ServiceLayout, StepResult, StructureKind, OP_UPDATE};
@@ -134,17 +134,17 @@ fn run_op(svc: &mut Service, mem: &mut DirectMem, core: usize, req: &Request) {
     while svc.step(mem, core) == StepResult::InFlight {}
 }
 
-/// Builds the warmed, durably-shut-down base system and returns it with
-/// the service handle (shadow included) positioned before the tortured
-/// op.
-fn base_system(cfg: &Config, structure: StructureKind) -> (DirectMem, Service) {
-    let mut mem = DirectMem::new(cfg);
+/// Builds the warmed, durably-shut-down base system on `cfg` and returns
+/// it with the service handle (shadow included) positioned before the
+/// tortured op.
+fn base_system(cfg: Config, structure: StructureKind) -> (DirectMem, Service, Config) {
+    let mut mem = DirectMem::new(&cfg);
     let mut svc = Service::new(&mut mem, structure, BASE, REGION, CORES, BUCKETS);
     for req in prologue(structure) {
         run_op(&mut svc, &mut mem, 1, &req);
     }
     mem.shutdown();
-    (mem, svc)
+    (mem, svc, cfg)
 }
 
 impl Subject for ServeTortureConfig {
@@ -152,7 +152,7 @@ impl Subject for ServeTortureConfig {
     type Fault = Option<FaultClass>;
     type Case = ServeCase;
     type Class = Classification;
-    type Base = (DirectMem, Service);
+    type State = Service;
     /// The service layout and the structure's entries before and after
     /// the tortured op.
     type Oracle = (ServiceLayout, Vec<(u64, u64)>, Vec<(u64, u64)>);
@@ -166,25 +166,24 @@ impl Subject for ServeTortureConfig {
         "(crash points land between announce, node persist, linearizing CAS, completion)";
     const VERDICT_COLUMN: bool = false;
     const MARKER: Option<&'static str> = Some("--torture");
-    const FLAGS: &'static [&'static str] = &["--structure", "--scheme"];
 
-    fn configure(f: Flags<Self::Fault>) -> Result<Self, String> {
-        let d = Self::default();
-        let structures = match f.structure {
-            Some(s) => vec![StructureKind::parse(&s)
-                .ok_or_else(|| format!("unknown structure `{s}` (expected stack|queue|hash)"))?],
-            None => d.structures,
-        };
-        Ok(Self {
-            schemes: f.scheme.map_or(d.schemes, |s| vec![s]),
-            structures,
-            classes: f.faults.unwrap_or(d.classes),
-            seeds: f.seeds.unwrap_or(d.seeds),
-            point: f.point,
-        })
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String> {
+        match flag {
+            Flag::Scheme(s) => self.schemes = vec![s],
+            Flag::Structure(s) => {
+                self.structures = vec![StructureKind::parse(&s).ok_or_else(|| {
+                    format!("unknown structure `{s}` (expected stack|queue|hash)")
+                })?];
+            }
+            Flag::Fault(f) => self.classes = vec![f],
+            Flag::Point(p) => self.point = Some(p),
+            Flag::Seeds(s) => self.seeds = s,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
-    fn groups(&self) -> Vec<(Self::Group, Vec<u64>)> {
+    fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>) {
         let mut groups = Vec::new();
         for &scheme in &self.schemes {
             for &structure in &self.structures {
@@ -193,26 +192,11 @@ impl Subject for ServeTortureConfig {
                 }
             }
         }
-        groups
+        (groups, &self.classes, self.point)
     }
 
-    fn faults(&self) -> &[Self::Fault] {
-        &self.classes
-    }
-
-    fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-
-    fn point(&self) -> Option<u64> {
-        self.point
-    }
-
-    fn axis_len(&self) -> usize {
-        self.structures.len()
-    }
-
-    fn case((scheme, structure): Self::Group, class: Self::Fault, point: u64, seed: u64) -> ServeCase {
+    fn case(g: Self::Group, class: Self::Fault, point: u64, seed: u64) -> ServeCase {
+        let (scheme, structure) = g;
         ServeCase {
             scheme,
             structure,
@@ -234,29 +218,21 @@ impl Subject for ServeTortureConfig {
         c.repro()
     }
 
-    fn machine((scheme, _): Self::Group) -> Config {
-        scheme.apply(Config::default())
-    }
-
-    fn base(cfg: &Config, (_, structure): Self::Group) -> (DirectMem, Service) {
-        base_system(cfg, structure)
-    }
-
-    fn mem(state: &mut (DirectMem, Service)) -> &mut DirectMem {
-        &mut state.0
+    fn base((scheme, structure): Self::Group) -> (DirectMem, Service, Config) {
+        base_system(scheme.apply(Config::default()), structure)
     }
 
     /// The tortured op, always on core 0 so its descriptor is slot 0.
-    fn workload(&self, (mem, svc): &mut (DirectMem, Service), (_, structure): Self::Group, seed: u64) {
-        run_op(svc, mem, 0, &tortured_request(structure, seed));
+    fn workload(&self, mem: &mut DirectMem, svc: &mut Service, seed: u64) {
+        run_op(svc, mem, 0, &tortured_request(svc.layout().kind, seed));
     }
 
     /// *Before* is the warmed structure; *after* is the tortured op
     /// completed on an unfaulted clone.
-    fn oracle(&self, base: &(DirectMem, Service), group: Self::Group, seed: u64) -> Self::Oracle {
-        let mut after = base.clone();
-        self.workload(&mut after, group, seed);
-        (base.1.layout(), base.1.shadow_entries(), after.1.shadow_entries())
+    fn oracle(&self, mem: &DirectMem, svc: &Service, seed: u64) -> Self::Oracle {
+        let (mut mem, mut after) = (mem.clone(), svc.clone());
+        self.workload(&mut mem, &mut after, seed);
+        (svc.layout(), svc.shadow_entries(), after.shadow_entries())
     }
 
     fn judge(
@@ -265,73 +241,68 @@ impl Subject for ServeTortureConfig {
         (layout, before, after): &Self::Oracle,
         mut image: RecoveredImage,
     ) -> (Classification, String, ()) {
-        let (class, detail) = judge(layout, before, after, &mut image);
-        (class, detail, ())
-    }
-}
-
-fn judge(
-    layout: &ServiceLayout,
-    before: &[(u64, u64)],
-    after: &[(u64, u64)],
-    image: &mut RecoveredImage,
-) -> (Classification, String) {
-    let recovered = match recover(&mut image.mem, layout) {
-        Ok(r) => r,
-        Err(e) => return (Classification::Detected, format!("{e}")),
-    };
-
-    // Structure-level differential check against the exact oracle.
-    let matches_before = recovered.entries == before;
-    let matches_after = recovered.entries == after;
-
-    // Descriptor cross-check: slot 0 belongs to the tortured op. A DONE
-    // descriptor for it promises the op linearized — a *before*
-    // structure under that promise is a lie (the completion record
-    // persisted before the linearizing store did).
-    let slot0 = recovered.slots[0];
-    let slot_lies = slot0.state == SlotState::Done
-        && slot0.rec.seq == 1
-        && matches_before
-        && !matches_after
-        // An update that "completed" must have published its node; an
-        // empty-remove completion (result 0 on a remove) legally leaves
-        // the structure unchanged.
-        && !(slot0.rec.op != OP_UPDATE && slot0.result == 0);
-
-    if (matches_before || matches_after) && !slot_lies {
-        let which = if matches_after {
-            Classification::RecoveredNew
-        } else {
-            Classification::RecoveredOld
+        let recovered = match recover(&mut image.mem, layout) {
+            Ok(r) => r,
+            Err(e) => return (Classification::Detected, format!("{e}"), ()),
         };
-        return (
-            which,
-            format!(
-                "{} entries intact (slot0 {:?})",
-                if matches_after { "after" } else { "before" },
-                slot0.state
-            ),
-        );
-    }
 
-    // Wrong data (or a lying descriptor): acceptable only if something
-    // noticed.
-    match image.signals(false) {
-        Some(signals) => (
-            Classification::Detected,
-            format!("degraded structure with detection signals: {signals} slot_lies={slot_lies}"),
-        ),
-        None => (
-            Classification::Silent,
-            format!(
-                "recovered {} entries match neither oracle ({} before / {} after) \
-                 or the descriptor lied (slot_lies={slot_lies}) and nothing detected it",
-                recovered.entries.len(),
-                before.len(),
-                after.len()
+        // Structure-level differential check against the exact oracle.
+        let matches_before = recovered.entries == *before;
+        let matches_after = recovered.entries == *after;
+
+        // Descriptor cross-check: slot 0 belongs to the tortured op. A DONE
+        // descriptor for it promises the op linearized — a *before*
+        // structure under that promise is a lie (the completion record
+        // persisted before the linearizing store did).
+        let slot0 = recovered.slots[0];
+        let slot_lies = slot0.state == SlotState::Done
+            && slot0.rec.seq == 1
+            && matches_before
+            && !matches_after
+            // An update that "completed" must have published its node; an
+            // empty-remove completion (result 0 on a remove) legally leaves
+            // the structure unchanged.
+            && !(slot0.rec.op != OP_UPDATE && slot0.result == 0);
+
+        if (matches_before || matches_after) && !slot_lies {
+            let which = if matches_after {
+                Classification::RecoveredNew
+            } else {
+                Classification::RecoveredOld
+            };
+            return (
+                which,
+                format!(
+                    "{} entries intact (slot0 {:?})",
+                    if matches_after { "after" } else { "before" },
+                    slot0.state
+                ),
+                (),
+            );
+        }
+
+        // Wrong data (or a lying descriptor): acceptable only if something
+        // noticed.
+        match image.signals(false) {
+            Some(signals) => (
+                Classification::Detected,
+                format!(
+                    "degraded structure with detection signals: {signals} slot_lies={slot_lies}"
+                ),
+                (),
             ),
-        ),
+            None => (
+                Classification::Silent,
+                format!(
+                    "recovered {} entries match neither oracle ({} before / {} after) \
+                     or the descriptor lied (slot_lies={slot_lies}) and nothing detected it",
+                    recovered.entries.len(),
+                    before.len(),
+                    after.len()
+                ),
+                (),
+            ),
+        }
     }
 }
 

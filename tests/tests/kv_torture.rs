@@ -9,8 +9,10 @@
 use supermem::nvm::FaultClass;
 use supermem::torture::shrink;
 use supermem::Scheme;
+use supermem_kv::torture::{KV_TORTURE_KEYSPACE, KV_TORTURE_MAX_VAL};
 use supermem_kv::{
-    kv_crash_points, kv_run_case, kv_run_torture, KvClassification, KvTortureCase, KvTortureConfig,
+    kv_crash_points, kv_run_case, kv_run_torture, op_stream, KvClassification, KvOp, KvTortureCase,
+    KvTortureConfig,
 };
 
 fn classes_with_baseline() -> Vec<Option<FaultClass>> {
@@ -63,11 +65,14 @@ fn reduced_campaign_has_zero_silent_cases() {
     }
     let tallies = report.tallies();
     assert_eq!(tallies.len(), cfg.schemes.len());
-    for s in &tallies {
-        assert_eq!(s.verdict(), "fail-safe");
+    for (scheme, counts) in &tallies {
+        assert_eq!(counts[3], 0, "{scheme}: SILENT cases");
     }
     assert_eq!(
-        tallies.iter().map(|s| s.cases()).sum::<u64>(),
+        tallies
+            .iter()
+            .map(|(_, counts)| counts.iter().sum::<u64>())
+            .sum::<u64>(),
         report.total(),
         "tallies add up"
     );
@@ -135,4 +140,46 @@ fn shrink_finds_an_equally_classified_earlier_point() {
         ..detected.case
     });
     assert_eq!(replay.classification, KvClassification::Detected);
+}
+
+#[test]
+fn campaign_ops_reach_the_case_runner() {
+    // A 4-op campaign's final crash point is the clean shutdown after all
+    // four ops: everything issued is durable.
+    let cfg = KvTortureConfig {
+        schemes: vec![Scheme::SuperMem],
+        classes: vec![None],
+        seeds: vec![1],
+        point: None,
+        channels: vec![1],
+        ops: 4,
+    };
+    let report = kv_run_torture(&cfg);
+    let last = report.results.last().expect("cases ran");
+    assert_eq!(last.case.point, kv_crash_points(Scheme::SuperMem, 1, 1, 4));
+    assert_eq!(
+        last.classification,
+        KvClassification::RecoveredCommitted,
+        "{}: {}",
+        last.case.repro(),
+        last.detail
+    );
+    // A longer stream replays all of its ops, not the default ten: the
+    // final case recovers the 16-op stream's key set.
+    let longer = kv_run_torture(&KvTortureConfig { ops: 16, ..cfg });
+    let last = longer.results.last().expect("cases ran");
+    let mut model = std::collections::BTreeMap::new();
+    for op in op_stream(1, 16, KV_TORTURE_KEYSPACE, KV_TORTURE_MAX_VAL) {
+        match op {
+            KvOp::Put(k, v) => {
+                model.insert(k, v);
+            }
+            KvOp::Del(k) => {
+                model.remove(&k);
+            }
+        }
+    }
+    assert_eq!(last.classification, KvClassification::RecoveredCommitted);
+    let recovered = last.evidence.expect("recovery report");
+    assert_eq!(recovered.entries as usize, model.len(), "{}", last.detail);
 }

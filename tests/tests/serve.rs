@@ -9,8 +9,7 @@ use supermem::torture::{run, Classification};
 use supermem::Scheme;
 use supermem_check::Checker;
 use supermem_serve::{
-    run_serve, run_serve_observed, ServeConfig, ServeTortureConfig,
-    StructureKind,
+    run_serve, run_serve_observed, ServeConfig, ServeTortureConfig, StructureKind,
 };
 
 fn quick(structure: StructureKind) -> ServeConfig {
@@ -131,4 +130,29 @@ fn cas_window_torture_has_no_silent_corruption() {
     // of the linearization point.
     assert!(report.count(Classification::RecoveredOld) > 0);
     assert!(report.count(Classification::RecoveredNew) > 0);
+}
+
+#[test]
+fn osiris_cas_window_crashes_recover_through_counter_recovery() {
+    // Osiris relaxes counter persistence: its crash images need trial
+    // decryption before the descriptor scan, or every case is refused.
+    let report = run(&ServeTortureConfig {
+        schemes: vec![Scheme::Osiris],
+        classes: vec![None],
+        seeds: vec![1, 2],
+        ..ServeTortureConfig::default()
+    });
+    assert!(report.total() > 0);
+    for r in &report.results {
+        assert!(
+            matches!(
+                r.classification,
+                Classification::RecoveredOld | Classification::RecoveredNew
+            ),
+            "{}: {} ({})",
+            r.case.repro(),
+            r.classification,
+            r.detail
+        );
+    }
 }

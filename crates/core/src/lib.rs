@@ -55,9 +55,11 @@
 //! * [`verify`] — checked runs: the persistency-ordering checker
 //!   (`supermem-check`) attached to an experiment's probe stream, plus
 //!   the mutant harness proving each invariant fires.
-//! * [`torture`] — the differential crash-torture engine: media faults
-//!   injected at crash time, every recovered image checked against a
-//!   shadow oracle, silent corruption shrunk to a minimal reproducer.
+//! * [`torture`] — the one differential crash-campaign harness: media
+//!   faults injected at crash time, every recovered image judged against
+//!   its subject's shadow oracle, silent corruption shrunk to a minimal
+//!   reproducer. The data and integrity-tree subjects live here; the
+//!   serving and KV subjects live in their own crates.
 #![deny(missing_docs)]
 
 pub mod experiment;

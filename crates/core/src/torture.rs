@@ -220,6 +220,7 @@ pub trait Subject: Default + Sync + Sized {
     /// The campaign: its groups in sweep order, each with the seeds it
     /// runs (innermost); the faults every crash point is crossed with;
     /// and the single crash point to run, if set.
+    #[allow(clippy::type_complexity)] // three plain parts, each documented above
     fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>);
 
     /// Assembles a case.
@@ -296,12 +297,11 @@ impl<S: Subject> Report<S> {
         let mut out: Vec<(String, [u64; 4])> = Vec::new();
         for r in &self.results {
             let label = S::label(&r.case);
-            let row = match out.iter().position(|(l, _)| *l == label) {
-                Some(row) => row,
-                None => {
-                    out.push((label, [0; 4]));
-                    out.len() - 1
-                }
+            let row = if let Some(row) = out.iter().position(|(l, _)| *l == label) {
+                row
+            } else {
+                out.push((label, [0; 4]));
+                out.len() - 1
             };
             let col = S::Class::ALL
                 .iter()
@@ -425,14 +425,13 @@ pub fn crash_image<S: Subject>(
         mem.controller_mut().set_fault_plan(spec);
     }
     subject.workload(&mut mem, &mut state, seed);
-    let (mut machine, fired) = match mem.controller_mut().take_machine_crash_image() {
-        Some(m) => (m, true),
-        None => {
-            // The armed point lies beyond the final append: finish
-            // cleanly and image that.
-            mem.shutdown();
-            (mem.machine_crash_now(), false)
-        }
+    let (mut machine, fired) = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
+        (m, true)
+    } else {
+        // The armed point lies beyond the final append: finish cleanly
+        // and image that.
+        mem.shutdown();
+        (mem.machine_crash_now(), false)
     };
     fault.strike(seed, &mut machine);
     (machine, fired)

@@ -27,8 +27,9 @@
 //! * **Invariants** ([`invariants`]): R1–R6 (deterministic,
 //!   idempotent, prefix-consistent, never invents, never silently
 //!   drops, bounded degradation) as executable checks.
-//! * **Torture** ([`torture`]): crashes armed at every write-queue
-//!   append — every WAL append, snapshot write, and manifest flip —
+//! * **Torture** ([`torture`]): the KV subject of the crash-campaign
+//!   harness (`supermem::torture`) — crashes armed at every write-queue
+//!   append (every WAL append, snapshot write, and manifest flip),
 //!   crossed with the media fault classes, recovered, and judged
 //!   against the [`oracle`] of acknowledged operations. The campaign
 //!   passes only with zero silent-corruption cases.

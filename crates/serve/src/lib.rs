@@ -19,8 +19,9 @@
 //! * [`engine`] — the multi-core issue loop: earliest-ready-core
 //!   arbitration in simulated time, sojourn-latency accounting,
 //!   p50/p99/p999 from [`supermem_sim::Log2Histogram`] telemetry.
-//! * [`torture`] — a differential crash campaign aimed *inside* the
-//!   CAS windows, with an exact two-state oracle per case.
+//! * [`torture`] — the serving subject of the crash-campaign harness
+//!   (`supermem::torture`), aimed *inside* the CAS windows, with an
+//!   exact two-state oracle per case.
 //!
 //! # Examples
 //!

@@ -289,7 +289,7 @@ fn crash_sweep_scheme(scheme: Scheme, channels: usize) -> Result<(u64, u64, u64,
     let (mut old, mut new, mut bad) = (0u64, 0u64, 0u64);
     for k in 1..=total {
         let case = TortureConfig::case(group, None, k, 1);
-        let (machine, fired) = torture::crash_image(&data, &mem, &(), &case);
+        let (machine, fired) = torture::crash_image(&data, mem.clone(), (), &case);
         if !fired {
             return Err(format!(
                 "{scheme}: crash armed after {k} appends never fired \

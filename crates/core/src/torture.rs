@@ -408,18 +408,17 @@ pub fn run<S: Subject>(subject: &S) -> Report<S> {
     }
 }
 
-/// Runs `case`'s workload from the base to its crash and returns the
-/// machine crash image with the case's fault applied, and whether the
-/// armed crash fired (`false`: the workload finished first, and the
+/// Runs `case`'s workload from the base state to its crash and returns
+/// the machine crash image with the case's fault applied, and whether
+/// the armed crash fired (`false`: the workload finished first, and the
 /// image is of a clean shutdown).
 pub fn crash_image<S: Subject>(
     subject: &S,
-    mem: &DirectMem,
-    state: &S::State,
+    mut mem: DirectMem,
+    mut state: S::State,
     case: &S::Case,
 ) -> (MachineCrashImage, bool) {
     let (_, fault, point, seed) = S::parts(case);
-    let (mut mem, mut state) = (mem.clone(), state.clone());
     mem.controller_mut().arm_crash_after_appends(point);
     if let Some(spec) = fault.plan(seed) {
         mem.controller_mut().set_fault_plan(spec);
@@ -443,7 +442,7 @@ pub fn run_case<S: Subject>(subject: &S, case: &S::Case) -> CaseResult<S> {
     let (group, _, _, seed) = S::parts(case);
     let (mem, state, cfg) = S::base(group);
     let oracle = subject.oracle(&mem, &state, seed);
-    let (machine, _) = crash_image(subject, &mem, &state, case);
+    let (machine, _) = crash_image(subject, mem, state, case);
     let (classification, detail, evidence) = match recover_image(&cfg, machine) {
         Ok(image) => subject.judge(case, &oracle, image),
         Err(detail) => (S::Class::ALL[2], detail, S::Evidence::default()),

@@ -414,7 +414,7 @@ fn campaign<S: Subject>(argv: &[String]) -> Result<(), ArgError> {
     let report = torture::run(&subject);
     let mut rep = Report::new(S::NAME);
     rep.section(S::TITLE, report.table());
-    rep.footnote(&report.footnote());
+    rep.footnote(&report.footnote(&subject));
     rep.footnote(S::LEGEND);
     rep.emit();
 

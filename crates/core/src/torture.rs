@@ -341,19 +341,13 @@ impl<S: Subject> Report<S> {
         t
     }
 
-    /// The campaign-size footnote: injections, and the distinct groups,
-    /// faults and seeds they covered.
-    pub fn footnote(&self) -> String {
-        let (mut faults, mut seeds) = (Vec::new(), Vec::new());
-        for r in &self.results {
-            let (_, fault, _, seed) = S::parts(&r.case);
-            if !faults.contains(&fault) {
-                faults.push(fault);
-            }
-            if !seeds.contains(&seed) {
-                seeds.push(seed);
-            }
-        }
+    /// The campaign-size footnote: injections, rows, and the faults and
+    /// distinct seeds of `subject`'s campaign.
+    pub fn footnote(&self, subject: &S) -> String {
+        let (groups, faults, _) = subject.shape();
+        let mut seeds: Vec<u64> = groups.into_iter().flat_map(|(_, s)| s).collect();
+        seeds.sort_unstable();
+        seeds.dedup();
         format!(
             "{} injections across {} {}(s), {} {}, {} seed(s)",
             self.total(),

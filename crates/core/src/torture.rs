@@ -191,8 +191,8 @@ pub trait Subject: Default + Sync + Sized {
     /// How the judge classifies a case.
     type Class: Verdict;
     /// The subject's own state beside the memory (a store or service
-    /// handle), cloned with it for every case.
-    type State: Clone;
+    /// handle), built afresh with it for every case.
+    type State;
     /// What the judge checks a recovered image against.
     type Oracle;
     /// Evidence the judge returns beside its classification.

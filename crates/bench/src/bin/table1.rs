@@ -25,9 +25,12 @@
 use supermem::metrics::TextTable;
 use supermem::persist::{recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager};
 use supermem::sim::{Config, CounterCacheBacking, CounterCacheMode};
-use supermem::torture::{oracle_state, Classification, DATA_ADDR, DATA_LEN, LOG_ADDR};
 use supermem::{sweep, Scheme};
 use supermem_bench::Report;
+
+const DATA_ADDR: u64 = 0x2000;
+const LOG_ADDR: u64 = 0x10_0000;
+const DATA_LEN: usize = 256;
 
 const OLD_WORD: u64 = 0x1111_1111_1111_1111;
 const NEW_WORD: u64 = 0x2222_2222_2222_2222;
@@ -129,8 +132,16 @@ fn main() {
                 txn.commit(mem).expect("commit");
             },
             |rec| {
-                recover_transactions(rec, LOG_ADDR).ok()?;
-                oracle_state(rec).map(|c| c == Classification::RecoveredNew)
+                if recover_transactions(rec, LOG_ADDR).is_err() {
+                    return None;
+                }
+                let mut data = [0u8; DATA_LEN];
+                rec.read(DATA_ADDR, &mut data);
+                match data {
+                    d if d == [0x11; DATA_LEN] => Some(false),
+                    d if d == [0x22; DATA_LEN] => Some(true),
+                    _ => None,
+                }
             },
         );
         vec![

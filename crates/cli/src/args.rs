@@ -1,125 +1,133 @@
-//! Flag parsing (dependency-free).
+//! The flags `run`, `sweep` and `profile` share, and what each adds.
+//!
+//! Every subcommand declares its flags as tables of [`Opt`] entries,
+//! parsed by the one flag parser ([`parse_flags`]); the usage text is
+//! generated from the same tables.
 
-use supermem::torture::flag_value;
+use supermem::torture::{parse_flags, Opt, Value};
 use supermem::workloads::WorkloadKind;
-use supermem::{RunConfig, Scheme};
+use supermem::RunConfig;
 
-/// A human-readable argument error.
-#[derive(Debug)]
-pub struct ArgError(pub String);
+/// A knob `sweep --param` varies: its name and how a point sets it.
+pub type SweepParam = (&'static str, fn(&mut RunConfig, u64));
 
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
+/// The knobs `sweep --param` can vary.
+pub const SWEEP_PARAMS: [SweepParam; 4] = [
+    ("wq", |rc, v| rc.write_queue_entries = v as usize),
+    ("cc", |rc, v| rc.counter_cache_bytes = v),
+    ("req", |rc, v| rc.req_bytes = v),
+    ("programs", |rc, v| rc.programs = v as usize),
+];
 
-impl std::error::Error for ArgError {}
+/// Every workload `--workload` names, in `supermem list` order.
+pub const WORKLOADS: [WorkloadKind; 6] = {
+    use WorkloadKind::{Array, BTree, HashTable, Queue, RbTree, Ycsb};
+    [Array, Queue, BTree, HashTable, RbTree, Ycsb]
+};
 
-impl From<String> for ArgError {
-    fn from(msg: String) -> Self {
-        ArgError(msg)
-    }
-}
-
-/// Parsed `run`-style flags.
-#[derive(Debug, Clone)]
-pub struct Parsed {
+/// The settings of `run`, `sweep` and `profile`.
+#[derive(Default)]
+pub struct RunArgs {
     /// The assembled run configuration.
     pub rc: RunConfig,
-    /// Emit CSV instead of an aligned table.
+    /// Emit CSV instead of an aligned table (`run`, `sweep`).
     pub csv: bool,
-    /// Flags the parser did not consume (for `sweep`'s own flags).
-    pub leftover: Vec<String>,
+    /// Emit JSON (`profile`).
+    pub json: bool,
+    /// The knob `sweep` varies.
+    pub param: Option<SweepParam>,
+    /// The points `sweep` visits.
+    pub values: Option<Vec<u64>>,
 }
 
-/// Parses a scheme name (paper labels, case-insensitive).
-pub fn parse_scheme(s: &str) -> Result<Scheme, ArgError> {
-    Scheme::parse(s).ok_or_else(|| ArgError(format!("unknown scheme `{}`", s.to_ascii_lowercase())))
-}
+/// The run flags `run`, `sweep` and `profile` share.
+pub const RUN: &[Opt<RunArgs>] = &[
+    Opt("--scheme", "SCHEME", |a, v| {
+        v.scheme().map(|s| a.rc.scheme = s)
+    }),
+    Opt("--workload", "WORKLOAD", |a, v| {
+        let kind = WorkloadKind::from_name(v.raw);
+        v.one_of(kind, WORKLOADS).map(|k| a.rc.kind = k)
+    }),
+    Opt("--txns", "N", |a, v| v.store(&mut a.rc.txns)),
+    Opt("--req", "BYTES", |a, v| {
+        v.size().map(|n| a.rc.req_bytes = n)
+    }),
+    Opt("--wq", "ENTRIES", |a, v| {
+        v.store(&mut a.rc.write_queue_entries)
+    }),
+    Opt("--cc", "BYTES", |a, v| {
+        v.size().map(|n| a.rc.counter_cache_bytes = n)
+    }),
+    Opt("--channels", "N", |a, v| {
+        v.pow2().map(|n| a.rc.channels = n)
+    }),
+    Opt("--programs", "P", |a, v| v.store(&mut a.rc.programs)),
+    Opt("--seed", "X", |a, v| v.store(&mut a.rc.seed)),
+    Opt("--read-pct", "P", |a, v| {
+        v.within(0, 100).map(|n| a.rc.ycsb_read_pct = n)
+    }),
+    Opt("--integrity-tree", "", |a, v| {
+        v.on(&mut a.rc.integrity_tree)
+    }),
+    Opt("--persisted-levels", "L", |a, v| {
+        // The frontier only means anything with the tree armed.
+        a.rc.integrity_tree = true;
+        v.parse().map(|n| a.rc.persisted_levels = Some(n))
+    }),
+    Opt("--run-threads", "N", |a, v| {
+        v.at_least_1().map(|n| a.rc.run_threads = n)
+    }),
+];
 
-/// Parses a size with optional `K`/`M` suffix.
-pub fn parse_size(s: &str) -> Result<u64, ArgError> {
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'K' | b'k') => (&s[..s.len() - 1], 1024),
-        Some(b'M' | b'm') => (&s[..s.len() - 1], 1024 * 1024),
-        _ => (s, 1),
-    };
-    digits
-        .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|_| ArgError(format!("invalid size `{s}`")))
-}
+/// `--csv`, for `run` and `sweep`.
+pub const CSV: &[Opt<RunArgs>] = &[Opt("--csv", "", |a, v| v.on(&mut a.csv))];
 
-/// Parses the shared run flags, collecting unknown flags into
-/// [`Parsed::leftover`].
-pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
-    let mut rc = RunConfig {
-        txns: 150,
-        ..RunConfig::default()
-    };
-    let mut csv = false;
-    let mut leftover = Vec::new();
-    let mut it = argv.iter().peekable();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--scheme" => rc.scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
-            "--workload" => {
-                let w: String = flag_value(&mut it, flag)?;
-                rc.kind = WorkloadKind::from_name(&w)
-                    .ok_or_else(|| ArgError(format!("unknown workload `{w}`")))?;
-            }
-            "--txns" => rc.txns = flag_value(&mut it, flag)?,
-            "--req" => rc.req_bytes = parse_size(&flag_value::<String>(&mut it, flag)?)?,
-            "--wq" => rc.write_queue_entries = flag_value(&mut it, flag)?,
-            "--cc" => rc.counter_cache_bytes = parse_size(&flag_value::<String>(&mut it, flag)?)?,
-            "--channels" => {
-                rc.channels = flag_value(&mut it, flag)?;
-                if !rc.channels.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-            }
-            "--programs" => rc.programs = flag_value(&mut it, flag)?,
-            "--seed" => rc.seed = flag_value(&mut it, flag)?,
-            "--read-pct" => {
-                rc.ycsb_read_pct = flag_value(&mut it, flag)?;
-                if rc.ycsb_read_pct > 100 {
-                    return Err(ArgError("--read-pct must be 0..=100".into()));
-                }
-            }
-            "--integrity-tree" => rc.integrity_tree = true,
-            "--persisted-levels" => {
-                // The frontier only means anything with the tree armed.
-                rc.integrity_tree = true;
-                rc.persisted_levels = Some(flag_value(&mut it, flag)?);
-            }
-            "--run-threads" => {
-                rc.run_threads = flag_value(&mut it, flag)?;
-                if rc.run_threads == 0 {
-                    return Err(ArgError("--run-threads must be at least 1".into()));
-                }
-            }
-            "--csv" => csv = true,
-            other => {
-                leftover.push(other.to_owned());
-                if let Some(next) = it.peek() {
-                    if !next.starts_with("--") {
-                        leftover.push(it.next().expect("peeked").clone());
-                    }
-                }
-            }
-        }
-    }
-    Ok(Parsed { rc, csv, leftover })
+/// The flags `sweep` adds.
+pub const SWEEP: &[Opt<RunArgs>] = &[
+    Opt("--param", "PARAM", |a, v| {
+        let param = SWEEP_PARAMS.into_iter().find(|(name, _)| *name == v.raw);
+        let names = SWEEP_PARAMS.map(|(name, _)| name);
+        v.one_of(param, names).map(|p| a.param = Some(p))
+    }),
+    Opt("--values", "a,b,c", |a, v| {
+        let points = v.raw.split(',').map(|raw| Value { raw, ..v }.size());
+        points.collect::<Result<_, _>>().map(|p| a.values = Some(p))
+    }),
+];
+
+/// The flag `profile` adds.
+pub const PROFILE: &[Opt<RunArgs>] = &[Opt("--json", "", |a, v| v.on(&mut a.json))];
+
+/// The flag tables of `run`, `sweep` and `profile`.
+pub const RUN_CMD: &[&[Opt<RunArgs>]] = &[RUN, CSV];
+/// See [`RUN_CMD`].
+pub const SWEEP_CMD: &[&[Opt<RunArgs>]] = &[SWEEP, RUN, CSV];
+/// See [`RUN_CMD`].
+pub const PROFILE_CMD: &[&[Opt<RunArgs>]] = &[RUN, PROFILE];
+
+/// Parses the flags of `tables` over the defaults (150 transactions).
+pub fn parse_run(tables: &[&[Opt<RunArgs>]], argv: &[String]) -> Result<RunArgs, String> {
+    let mut start = RunArgs::default();
+    start.rc.txns = 150;
+    parse_flags(start, tables, argv)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermem::Scheme;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    fn parse_run_flags(argv: &[String]) -> Result<RunArgs, String> {
+        parse_run(RUN_CMD, argv)
+    }
+
+    fn value(raw: &str) -> Value<'_> {
+        Value { flag: "--x", raw }
     }
 
     #[test]
@@ -153,14 +161,17 @@ mod tests {
         assert_eq!(p.rc.programs, 4);
         assert_eq!(p.rc.seed, 9);
         assert!(p.csv);
-        assert!(p.leftover.is_empty());
     }
 
     #[test]
-    fn unknown_flags_go_to_leftover_with_values() {
-        let p = parse_run_flags(&strs(&["--param", "wq", "--scheme", "unsec"])).unwrap();
-        assert_eq!(p.leftover, strs(&["--param", "wq"]));
+    fn sweep_flags_compose_with_run_flags() {
+        let argv = strs(&["--param", "wq", "--scheme", "unsec", "--values", "8,1K"]);
+        let p = parse_run(SWEEP_CMD, &argv).unwrap();
+        assert_eq!(p.param.map(|(name, _)| name), Some("wq"));
+        assert_eq!(p.values, Some(vec![8, 1024]));
         assert_eq!(p.rc.scheme, Scheme::Unsec);
+        // `run` alone does not take the sweep flags.
+        assert!(parse_run_flags(&argv).is_err());
     }
 
     #[test]
@@ -192,18 +203,18 @@ mod tests {
 
     #[test]
     fn size_suffixes() {
-        assert_eq!(parse_size("256K").unwrap(), 256 * 1024);
-        assert_eq!(parse_size("4M").unwrap(), 4 << 20);
-        assert_eq!(parse_size("512").unwrap(), 512);
-        assert!(parse_size("x").is_err());
+        assert_eq!(value("256K").size().unwrap(), 256 * 1024);
+        assert_eq!(value("4M").size().unwrap(), 4 << 20);
+        assert_eq!(value("512").size().unwrap(), 512);
+        assert!(value("x").size().is_err());
     }
 
     #[test]
     fn scheme_aliases() {
-        assert_eq!(parse_scheme("SuperMem").unwrap(), Scheme::SuperMem);
-        assert_eq!(parse_scheme("xbank").unwrap(), Scheme::WtXbank);
-        assert_eq!(parse_scheme("osiris").unwrap(), Scheme::Osiris);
-        assert!(parse_scheme("nope").is_err());
+        assert_eq!(value("SuperMem").scheme().unwrap(), Scheme::SuperMem);
+        assert_eq!(value("xbank").scheme().unwrap(), Scheme::WtXbank);
+        assert_eq!(value("osiris").scheme().unwrap(), Scheme::Osiris);
+        assert!(value("nope").scheme().is_err());
     }
 
     #[test]

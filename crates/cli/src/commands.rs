@@ -4,7 +4,7 @@ use supermem::metrics::TextTable;
 use supermem::persist::{recover_osiris, recover_transactions, DirectMem, RecoveredMemory};
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::sim::{CounterPlacement, Mutation};
-use supermem::torture::{self, flag_value, Classification, Subject, TortureConfig};
+use supermem::torture::{self, parse_flags, Classification, Opt, Subject, TortureConfig};
 use supermem::verify::{check_run, check_run_trace, run_mutant_sharded, CheckReport};
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::Workload;
@@ -15,27 +15,13 @@ use supermem_kv::{
     kv_crash_points, kv_run_case, KvLayout, KvTortureCase, KvTortureConfig, KvWorkload,
 };
 use supermem_lincheck::{find_minimal, lincheck, CrashMode, LincheckConfig, Mutant};
-use supermem_serve::{run_serve, ServeConfig, ServeTortureConfig, StructureKind, TrafficSpec};
+use supermem_serve::{run_serve, ServeConfig, StructureKind, TrafficSpec};
 
-use crate::args::{parse_run_flags, parse_scheme, ArgError, Parsed};
-
-/// Every scheme: the ones `supermem crash` sweeps when none is named,
-/// and `supermem list` prints.
-const ALL_SCHEMES: [Scheme; 9] = [
-    Scheme::Unsec,
-    Scheme::WriteBackIdeal,
-    Scheme::WriteThrough,
-    Scheme::WtCwc,
-    Scheme::WtXbank,
-    Scheme::SuperMem,
-    Scheme::WtSameBank,
-    Scheme::Osiris,
-    Scheme::Sca,
-];
+use crate::args::{parse_run, PROFILE_CMD, RUN_CMD, SWEEP_CMD};
 
 /// Validates `rc` up front so the free-run path below cannot panic.
-fn validated(rc: &RunConfig) -> Result<(), ArgError> {
-    rc.validate().map_err(|e| ArgError(e.to_string()))
+fn validated(rc: &RunConfig) -> Result<(), String> {
+    rc.validate().map_err(|e| e.to_string())
 }
 
 fn execute(rc: &RunConfig) -> RunResult {
@@ -74,10 +60,8 @@ fn result_headers() -> Vec<String> {
 }
 
 /// `supermem run`
-pub fn cmd_run(p: Parsed) -> Result<(), ArgError> {
-    if let Some(flag) = p.leftover.first() {
-        return Err(ArgError(format!("unknown flag `{flag}`")));
-    }
+pub fn cmd_run(argv: &[String]) -> Result<(), String> {
+    let p = parse_run(RUN_CMD, argv)?;
     validated(&p.rc)?;
     let r = execute(&p.rc);
     let mut t = TextTable::new(result_headers());
@@ -86,41 +70,19 @@ pub fn cmd_run(p: Parsed) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `supermem sweep --param P --values a,b,c [run flags]`
-pub fn cmd_sweep(argv: &[String]) -> Result<(), ArgError> {
-    let p = parse_run_flags(argv)?;
-    let mut param = None;
-    let mut values = None;
-    let mut it = p.leftover.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--param" => param = it.next().cloned(),
-            "--values" => values = it.next().cloned(),
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
-    let param = param.ok_or_else(|| ArgError("sweep needs --param".into()))?;
-    let values = values.ok_or_else(|| ArgError("sweep needs --values".into()))?;
-    let points: Vec<u64> = values
-        .split(',')
-        .map(crate::args::parse_size)
-        .collect::<Result<_, _>>()?;
-    if points.is_empty() {
-        return Err(ArgError("--values must list at least one point".into()));
-    }
-
-    let mut jobs = Vec::with_capacity(points.len());
-    for &v in &points {
-        let mut rc = p.rc.clone();
-        match param.as_str() {
-            "wq" => rc.write_queue_entries = v as usize,
-            "cc" => rc.counter_cache_bytes = v,
-            "req" => rc.req_bytes = v,
-            "programs" => rc.programs = v as usize,
-            other => return Err(ArgError(format!("unknown sweep param `{other}`"))),
-        }
-        jobs.push(rc);
-    }
+/// `supermem sweep`
+pub fn cmd_sweep(argv: &[String]) -> Result<(), String> {
+    let p = parse_run(SWEEP_CMD, argv)?;
+    let (param, set) = p.param.ok_or("--param needs a value".to_owned())?;
+    let points = p.values.ok_or("--values needs a value".to_owned())?;
+    let jobs: Vec<RunConfig> = points
+        .iter()
+        .map(|&v| {
+            let mut rc = p.rc.clone();
+            set(&mut rc, v);
+            rc
+        })
+        .collect();
     for rc in &jobs {
         validated(rc)?;
     }
@@ -129,7 +91,7 @@ pub fn cmd_sweep(argv: &[String]) -> Result<(), ArgError> {
     let results = sweep(&jobs, execute);
 
     let mut t = TextTable::new(
-        std::iter::once(param.clone())
+        std::iter::once(param.to_owned())
             .chain(result_headers())
             .collect(),
     );
@@ -142,26 +104,19 @@ pub fn cmd_sweep(argv: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `supermem profile [run flags] [--json]`: run once with the built-in
-/// telemetry observer attached and print the latency attribution.
-pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
-    let p = parse_run_flags(argv)?;
-    let mut json = false;
-    for flag in &p.leftover {
-        match flag.as_str() {
-            "--json" => json = true,
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+/// `supermem profile`: run once with the built-in telemetry observer
+/// attached and print the latency attribution.
+pub fn cmd_profile(argv: &[String]) -> Result<(), String> {
+    let p = parse_run(PROFILE_CMD, argv)?;
     let mut exp = Experiment::new(p.rc.clone())
-        .map_err(|e| ArgError(e.to_string()))?
+        .map_err(|e| e.to_string())?
         .observe();
     let r = exp.run();
     let t = r
         .telemetry
         .as_ref()
         .expect("observed run returns telemetry");
-    if json {
+    if p.json {
         println!("{}", t.to_json(r.total_cycles));
         return Ok(());
     }
@@ -324,31 +279,21 @@ fn crash_sweep_scheme(scheme: Scheme, channels: usize) -> Result<(u64, u64, u64,
     Ok((total, old, new, bad))
 }
 
-/// `supermem crash [--scheme S] [--channels N] [--json]`: sweep a
-/// crash over every append boundary of one durable transaction — under
-/// every scheme by default, or just the named one.
-pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
-    let mut only: Option<Scheme> = None;
-    let mut channels = 1usize;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--scheme" => only = Some(parse_scheme(&flag_value::<String>(&mut it, flag)?)?),
-            "--channels" => {
-                channels = flag_value(&mut it, flag)?;
-                if !channels.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-            }
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
-    let schemes: Vec<Scheme> = match only {
-        Some(s) => vec![s],
-        None => ALL_SCHEMES.to_vec(),
-    };
+/// `supermem crash`'s flags.
+pub const CRASH: &[Opt<(Vec<Scheme>, usize)>] = &[
+    Opt("--scheme", "SCHEME", |a, v| {
+        v.scheme().map(|s| a.0 = vec![s])
+    }),
+    Opt("--channels", "N", |a, v| v.pow2().map(|n| a.1 = n)),
+    Opt::json(),
+];
+
+/// `supermem crash`: sweep a crash over every append boundary of one
+/// durable transaction — under every scheme by default, or just the
+/// named one.
+pub fn cmd_crash(argv: &[String]) -> Result<(), String> {
+    // Every scheme unless one is named, on one channel.
+    let (schemes, channels) = parse_flags((Scheme::ALL.to_vec(), 1), &[CRASH], argv)?;
 
     // Each scheme's crash-point sweep is independent: fan out.
     let rows = sweep(&schemes, |&scheme| crash_sweep_scheme(scheme, channels));
@@ -366,7 +311,7 @@ pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
         .to_vec(),
     );
     for (scheme, row) in schemes.iter().zip(rows) {
-        let (total, old, new, bad) = row.map_err(ArgError)?;
+        let (total, old, new, bad) = row?;
         t.row(vec![
             scheme.name().to_owned(),
             total.to_string(),
@@ -391,26 +336,13 @@ pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `supermem torture [--scheme S] [--fault F|none] [--point K]
-/// [--seed N] [--seeds COUNT] [--channels N] [--json]`: the differential
-/// crash-torture campaign on the data subject — media faults injected at
-/// crash time, every recovered image checked against the shadow oracle;
-/// or, with `--tree [--persisted-levels L] [--fault F|tamper|none]`, on
-/// the integrity-tree subject.
-pub fn cmd_torture(argv: &[String]) -> Result<(), ArgError> {
-    if argv.iter().any(|a| a == "--tree") {
-        campaign::<torture::TreeTortureConfig>(argv)
-    } else {
-        campaign::<TortureConfig>(argv)
-    }
-}
-
-/// Runs one crash-torture campaign from its command line: the shared
+/// Runs one crash-torture campaign (`torture`, `torture --tree`,
+/// `serve --torture`, `kv torture`) from its command line: the shared
 /// flags, the per-group tally table and footnotes, and — if any case
 /// corrupted silently — its reproducer, a shrunk minimal reproducer,
 /// and a non-zero exit.
-fn campaign<S: Subject>(argv: &[String]) -> Result<(), ArgError> {
-    let subject: S = torture::parse(argv).map_err(ArgError)?;
+pub fn campaign<S: Subject>(argv: &[String]) -> Result<(), String> {
+    let subject: S = torture::parse(argv)?;
     let report = torture::run(&subject);
     let mut rep = Report::new(S::NAME);
     rep.section(S::TITLE, report.table());
@@ -429,66 +361,45 @@ fn campaign<S: Subject>(argv: &[String]) -> Result<(), ArgError> {
         let min = torture::shrink(&subject, &r.case);
         eprintln!("  minimal repro: {}", S::repro(&min));
     }
-    Err(ArgError(format!(
+    Err(format!(
         "silent corruption in {} of {} injections",
         silent.len(),
         report.total()
-    )))
+    ))
 }
 
-/// `supermem serve [--structure S] [--scheme S] [--cores N] [--requests N]
-/// [--read-pct P] [--mean-gap G] [--zipf T] [--keyspace K] [--buckets B]
-/// [--seed X] [--channels N] [--run-threads N] [--degraded BANK] [--json]`
-/// — drive a shared lock-free structure open-loop and print the tail
-/// table; or `supermem serve --torture [--structure S] [--scheme S]
-/// [--fault F|none] [--point K] [--seed N] [--seeds COUNT] [--json]` —
-/// the CAS-window crash campaign on the serve torture subject.
-pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
-    if argv.iter().any(|a| a == "--torture") {
-        return campaign::<ServeTortureConfig>(argv);
-    }
-    let mut cfg = ServeConfig::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--structure" => {
-                let s: String = flag_value(&mut it, flag)?;
-                cfg.structure = StructureKind::parse(&s).ok_or_else(|| {
-                    ArgError(format!(
-                        "unknown structure `{s}` (expected stack|queue|hash)"
-                    ))
-                })?;
-            }
-            "--scheme" => cfg.scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
-            "--cores" => cfg.cores = flag_value(&mut it, flag)?,
-            "--requests" => cfg.requests = flag_value(&mut it, flag)?,
-            "--read-pct" => cfg.read_pct = flag_value(&mut it, flag)?,
-            "--mean-gap" => cfg.mean_gap = flag_value(&mut it, flag)?,
-            "--zipf" => cfg.zipf_theta = flag_value(&mut it, flag)?,
-            "--keyspace" => cfg.keyspace = flag_value(&mut it, flag)?,
-            "--buckets" => cfg.hash_buckets = flag_value(&mut it, flag)?,
-            "--seed" => cfg.seed = flag_value(&mut it, flag)?,
-            "--channels" => {
-                cfg.channels = flag_value(&mut it, flag)?;
-                if !cfg.channels.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-            }
-            "--run-threads" => {
-                cfg.run_threads = flag_value(&mut it, flag)?;
-                if cfg.run_threads == 0 {
-                    return Err(ArgError("--run-threads must be at least 1".into()));
-                }
-            }
-            "--degraded" => cfg.degraded_bank = Some(flag_value(&mut it, flag)?),
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+/// `supermem serve`'s flags (without `--torture`).
+pub const SERVE: &[Opt<ServeConfig>] = &[
+    Opt("--structure", "STRUCTURE", |c, v| {
+        StructureKind::from_flag(v.raw).map(|s| c.structure = s)
+    }),
+    Opt("--scheme", "SCHEME", |c, v| {
+        v.scheme().map(|s| c.scheme = s)
+    }),
+    Opt("--cores", "N", |c, v| v.store(&mut c.cores)),
+    Opt("--requests", "N", |c, v| v.store(&mut c.requests)),
+    Opt("--read-pct", "P", |c, v| v.store(&mut c.read_pct)),
+    Opt("--mean-gap", "CYC", |c, v| v.store(&mut c.mean_gap)),
+    Opt("--zipf", "T", |c, v| v.store(&mut c.zipf_theta)),
+    Opt("--keyspace", "K", |c, v| v.store(&mut c.keyspace)),
+    Opt("--buckets", "B", |c, v| v.store(&mut c.hash_buckets)),
+    Opt("--seed", "X", |c, v| v.store(&mut c.seed)),
+    Opt("--channels", "N", |c, v| v.pow2().map(|n| c.channels = n)),
+    Opt("--run-threads", "N", |c, v| {
+        v.at_least_1().map(|n| c.run_threads = n)
+    }),
+    Opt("--degraded", "BANK", |c, v| {
+        v.parse().map(|n| c.degraded_bank = Some(n))
+    }),
+    Opt::json(),
+];
 
-    cfg.validate().map_err(|e| ArgError(e.to_string()))?;
-    let r = run_serve(&cfg).map_err(|e| ArgError(e.to_string()))?;
+/// `supermem serve`: drive a shared lock-free structure open-loop and
+/// print the tail table.
+pub fn cmd_serve(argv: &[String]) -> Result<(), String> {
+    let cfg = parse_flags(ServeConfig::default(), &[SERVE], argv)?;
+    cfg.validate().map_err(|e| e.to_string())?;
+    let r = run_serve(&cfg).map_err(|e| e.to_string())?;
 
     let mut t = TextTable::new(
         [
@@ -693,7 +604,7 @@ fn check_configs(txns: u64) -> Vec<CheckConfig> {
 }
 
 /// Checks one figure configuration, merging all of its runs' reports.
-fn check_one(cc: &CheckConfig) -> Result<CheckReport, ArgError> {
+fn check_one(cc: &CheckConfig) -> Result<CheckReport, String> {
     let mut merged = CheckReport::default();
     for rc in &cc.runs {
         let report = if cc.trace {
@@ -701,7 +612,7 @@ fn check_one(cc: &CheckConfig) -> Result<CheckReport, ArgError> {
         } else {
             check_run(rc)
         }
-        .map_err(|e| ArgError(format!("{}: {e}", cc.name)))?;
+        .map_err(|e| format!("{}: {e}", cc.name))?;
         merged.events_seen += report.events_seen;
         merged.violations.extend(report.violations);
     }
@@ -721,74 +632,71 @@ fn shrink_repro(cc: &CheckConfig, txns: u64) -> u64 {
     })
 }
 
-/// `supermem check [--json] [--txns N] [--config NAME] [--channels N]
-/// [--mutate M]`: run the persistency-ordering checker over the figure
-/// configurations (or prove a rule fires under an injected mutation).
-pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
-    let mut json = false;
-    let mut txns = 25u64;
-    let mut channels = 1usize;
-    let mut only: Option<String> = None;
-    let mut mutate: Option<Mutation> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--json" => json = true,
-            "--txns" => txns = flag_value(&mut it, flag)?,
-            "--channels" => {
-                channels = flag_value(&mut it, flag)?;
-                if !channels.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-            }
-            "--config" => only = it.next().cloned(),
-            "--mutate" => {
-                let m: String = flag_value(&mut it, flag)?;
-                mutate = Some(Mutation::parse(&m).ok_or_else(|| {
-                    ArgError(format!(
-                        "unknown mutation `{m}` (expected one of: wt-off pair-split \
-                         cwc-newest rsr-skip tree-skip tree-late tree-double-root)"
-                    ))
-                })?);
-            }
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+/// The settings of `supermem check`.
+#[derive(Default)]
+pub struct CheckArgs {
+    json: bool,
+    txns: u64,
+    channels: usize,
+    /// The one figure configuration to check.
+    only: Option<&'static str>,
+    mutate: Option<Mutation>,
+}
 
-    if let Some(m) = mutate {
-        let report = run_mutant_sharded(Some(m), channels);
-        if json {
+/// `supermem check`'s flags.
+pub const CHECK: &[Opt<CheckArgs>] = &[
+    Opt("--json", "", |a, v| v.on(&mut a.json)),
+    Opt("--txns", "N", |a, v| v.store(&mut a.txns)),
+    Opt("--channels", "N", |a, v| v.pow2().map(|n| a.channels = n)),
+    Opt("--config", "NAME", |a, v| {
+        let names: Vec<&'static str> = check_configs(0).iter().map(|c| c.name).collect();
+        let name = names.iter().copied().find(|&n| n == v.raw);
+        v.one_of(name, &names).map(|n| a.only = Some(n))
+    }),
+    Opt("--mutate", "MUTATION", |a, v| {
+        let names = Mutation::ALL.map(Mutation::name);
+        v.one_of(Mutation::parse(v.raw), names)
+            .map(|m| a.mutate = Some(m))
+    }),
+];
+
+/// `supermem check`: run the persistency-ordering checker over the
+/// figure configurations (or prove a rule fires under an injected
+/// mutation).
+pub fn cmd_check(argv: &[String]) -> Result<(), String> {
+    let start = CheckArgs {
+        txns: 25,
+        channels: 1,
+        ..CheckArgs::default()
+    };
+    let a = parse_flags(start, &[CHECK], argv)?;
+    if let Some(m) = a.mutate {
+        let report = run_mutant_sharded(Some(m), a.channels);
+        if a.json {
             println!("{}", report.to_json());
         } else {
             println!("mutation {}: {report}", m.name());
         }
         return if report.is_clean() {
-            Err(ArgError(format!(
+            Err(format!(
                 "mutation `{}` injected but no invariant fired",
                 m.name()
-            )))
+            ))
         } else {
             Ok(())
         };
     }
 
-    let mut configs: Vec<CheckConfig> = check_configs(txns)
+    let mut configs: Vec<CheckConfig> = check_configs(a.txns)
         .into_iter()
-        .filter(|c| only.as_deref().is_none_or(|n| n == c.name))
+        .filter(|c| a.only.is_none_or(|n| n == c.name))
         .collect();
     // Every figure configuration runs unchanged at any interleaving
     // width; the checker shards its shadow state to match.
     for cc in &mut configs {
         for rc in &mut cc.runs {
-            rc.channels = channels;
+            rc.channels = a.channels;
         }
-    }
-    if configs.is_empty() {
-        return Err(ArgError(format!(
-            "unknown config `{}`",
-            only.unwrap_or_default()
-        )));
     }
 
     let mut t = TextTable::new(
@@ -807,14 +715,14 @@ pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
             report.violations.len().to_string(),
             if report.is_clean() { "ok" } else { "FAIL" }.to_owned(),
         ]);
-        if json {
+        if a.json {
             json_rows.push(format!("\"{}\":{}", cc.name, report.to_json()));
         }
         if !report.is_clean() {
             dirty.push((cc, report));
         }
     }
-    if json {
+    if a.json {
         println!("{{{}}}", json_rows.join(","));
     } else {
         print!("{}", t.render());
@@ -832,95 +740,81 @@ pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
                 eprintln!("    #{ord} {ev}");
             }
         }
-        let min = shrink_repro(cc, txns);
-        let ch = if channels == 1 {
+        let min = shrink_repro(cc, a.txns);
+        let ch = if a.channels == 1 {
             String::new()
         } else {
-            format!(" --channels {channels}")
+            format!(" --channels {}", a.channels)
         };
         eprintln!(
             "  minimal repro: supermem check --config {} --txns {min}{ch}",
             cc.name
         );
     }
-    Err(ArgError(format!(
+    Err(format!(
         "persistency-ordering violations in {} configuration(s)",
         dirty.len()
-    )))
+    ))
 }
 
-/// `supermem lincheck [--structure S|all] [--cores N] [--ops N]
-/// [--depth N] [--crash {all|none|K}] [--reduce] [--mutate M] [--json]`
-pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
-    let mut structure: Option<StructureKind> = None;
-    let mut cores = 2usize;
-    let mut ops = 3usize;
-    let mut depth = 96u64;
-    let mut crash = CrashMode::All;
-    let mut reduce = false;
-    let mut mutate: Option<Mutant> = None;
-    let mut json = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--structure" => {
-                let s: String = flag_value(&mut it, flag)?;
-                if s != "all" {
-                    structure = Some(StructureKind::parse(&s).ok_or_else(|| {
-                        ArgError(format!("unknown structure `{s}` (stack queue hash all)"))
-                    })?);
-                }
-            }
-            "--cores" => {
-                cores = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|c| (1..=4).contains(c))
-                    .ok_or_else(|| ArgError("invalid --cores (1..=4)".into()))?;
-            }
-            "--ops" => {
-                ops = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|o| (1..=8).contains(o))
-                    .ok_or_else(|| ArgError("invalid --ops (1..=8)".into()))?;
-            }
-            "--depth" => {
-                depth = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|d| *d > 0)
-                    .ok_or_else(|| ArgError("invalid --depth".into()))?;
-            }
-            "--crash" => {
-                let c: String = flag_value(&mut it, flag)?;
-                crash = match c.as_str() {
-                    "all" => CrashMode::All,
-                    "none" => CrashMode::Final,
-                    k => CrashMode::AfterPersist(k.parse().map_err(|_| {
-                        ArgError(format!(
-                            "invalid --crash `{k}` (all, none, or a persist index)"
-                        ))
-                    })?),
-                };
-            }
-            "--reduce" => reduce = true,
-            "--json" => json = true,
-            "--mutate" => {
-                let m: String = flag_value(&mut it, flag)?;
-                mutate = Some(Mutant::parse(&m).ok_or_else(|| {
-                    ArgError(format!(
-                        "unknown mutant `{m}` (expected one of: skip-linearize \
-                         complete-first drop-invalidate skip-scan)"
-                    ))
-                })?);
-            }
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
-    let structures: Vec<StructureKind> =
-        structure.map_or_else(|| StructureKind::ALL.to_vec(), |s| vec![s]);
+/// The settings of `supermem lincheck`.
+pub struct LincheckArgs {
+    structures: Vec<StructureKind>,
+    cores: usize,
+    ops: usize,
+    depth: u64,
+    crash: CrashMode,
+    reduce: bool,
+    mutate: Option<Mutant>,
+    json: bool,
+}
+
+/// `supermem lincheck`'s flags.
+pub const LINCHECK: &[Opt<LincheckArgs>] = &[
+    Opt("--structure", "{STRUCTURE|all}", |a, v| {
+        a.structures = match v.raw {
+            "all" => StructureKind::ALL.to_vec(),
+            raw => vec![StructureKind::from_flag(raw)?],
+        };
+        Ok(())
+    }),
+    Opt("--cores", "N", |a, v| v.within(1, 4).map(|n| a.cores = n)),
+    Opt("--ops", "N", |a, v| v.within(1, 8).map(|n| a.ops = n)),
+    Opt("--depth", "N", |a, v| v.at_least_1().map(|n| a.depth = n)),
+    Opt("--crash", "{all|none|K}", |a, v| {
+        a.crash = match v.raw {
+            "all" => CrashMode::All,
+            "none" => CrashMode::Final,
+            k => CrashMode::AfterPersist(
+                k.parse()
+                    .map_err(|_| v.invalid(" (all, none, or a persist index)"))?,
+            ),
+        };
+        Ok(())
+    }),
+    Opt("--reduce", "", |a, v| v.on(&mut a.reduce)),
+    Opt("--json", "", |a, v| v.on(&mut a.json)),
+    Opt("--mutate", "MUTANT", |a, v| {
+        let names = Mutant::ALL.map(Mutant::name);
+        v.one_of(Mutant::parse(v.raw), names)
+            .map(|m| a.mutate = Some(m))
+    }),
+];
+
+/// `supermem lincheck`: model-check the serving protocols for durable
+/// linearizability.
+pub fn cmd_lincheck(argv: &[String]) -> Result<(), String> {
+    let start = LincheckArgs {
+        structures: StructureKind::ALL.to_vec(),
+        cores: 2,
+        ops: 3,
+        depth: 96,
+        crash: CrashMode::All,
+        reduce: false,
+        mutate: None,
+        json: false,
+    };
+    let a = parse_flags(start, &[LINCHECK], argv)?;
 
     let mut t = TextTable::new(
         [
@@ -938,17 +832,17 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
     let mut json_rows = Vec::new();
     let mut violations = Vec::new();
     let mut missed = Vec::new();
-    for s in &structures {
-        let mut cfg = LincheckConfig::mixed(*s, cores, ops);
-        cfg.crash = crash;
-        cfg.reduce = reduce;
-        cfg.mutant = mutate;
-        cfg.max_actions = depth;
+    for s in &a.structures {
+        let mut cfg = LincheckConfig::mixed(*s, a.cores, a.ops);
+        cfg.crash = a.crash;
+        cfg.reduce = a.reduce;
+        cfg.mutant = a.mutate;
+        cfg.max_actions = a.depth;
         let t0 = std::time::Instant::now();
         let report = lincheck(&cfg);
         let ms = t0.elapsed().as_millis();
         let caught = report.violation.is_some();
-        let verdict = match (mutate.is_some(), caught) {
+        let verdict = match (a.mutate.is_some(), caught) {
             (false, false) => "ok",
             (false, true) => "VIOLATION",
             (true, true) => "caught",
@@ -963,7 +857,7 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
             ms.to_string(),
             verdict.to_owned(),
         ]);
-        if json {
+        if a.json {
             let viol = report
                 .violation
                 .as_ref()
@@ -978,13 +872,13 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
                 report.stats.sleep_pruned,
             ));
         }
-        match (mutate.is_some(), caught) {
+        match (a.mutate.is_some(), caught) {
             (true, false) => missed.push(*s),
             (_, true) => violations.push((*s, cfg)),
             _ => {}
         }
     }
-    if json {
+    if a.json {
         println!("{{{}}}", json_rows.join(","));
     } else {
         print!("{}", t.render());
@@ -997,31 +891,31 @@ pub fn cmd_lincheck(argv: &[String]) -> Result<(), ArgError> {
             eprintln!("{s}: minimal repro: {}", repro.summary());
         }
     }
-    if let Some(m) = mutate {
+    if let Some(m) = a.mutate {
         return if missed.is_empty() {
             Ok(())
         } else {
             let names: Vec<&str> = missed.iter().map(|s| s.name()).collect();
-            Err(ArgError(format!(
+            Err(format!(
                 "mutant `{m}` injected but not caught on: {}",
                 names.join(", ")
-            )))
+            ))
         };
     }
     if violations.is_empty() {
         Ok(())
     } else {
-        Err(ArgError(format!(
+        Err(format!(
             "durable-linearizability violations in {} structure(s)",
             violations.len()
-        )))
+        ))
     }
 }
 
 /// `supermem list`
 pub fn cmd_list() {
     println!("schemes:");
-    for s in ALL_SCHEMES {
+    for s in Scheme::ALL {
         println!("  {s}");
     }
     println!("workloads:");
@@ -1030,67 +924,56 @@ pub fn cmd_list() {
     }
 }
 
-/// `supermem kv {run|torture|recover}` — the recoverable KV store:
-/// drive it with Zipfian traffic (`run`), sweep the differential
-/// crash-torture campaign (`torture`), or crash one run at a chosen
-/// point and print the typed recovery report (`recover`).
-pub fn cmd_kv(argv: &[String]) -> Result<(), ArgError> {
-    match argv.first().map(String::as_str) {
-        Some("run") => cmd_kv_run(&argv[1..]),
-        Some("torture") => campaign::<KvTortureConfig>(&argv[1..]),
-        Some("recover") => cmd_kv_recover(&argv[1..]),
-        Some(other) => Err(ArgError(format!(
-            "unknown kv subcommand `{other}` (expected run, torture, or recover)"
-        ))),
-        None => Err(ArgError(
-            "kv needs a subcommand: run, torture, or recover".into(),
-        )),
-    }
+/// The settings of `supermem kv run`.
+pub struct KvRunArgs {
+    scheme: Scheme,
+    requests: u64,
+    spec: TrafficSpec,
+    snapshot_every: u64,
 }
 
-fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
-    let mut scheme = Scheme::SuperMem;
-    let mut requests: u64 = 2000;
-    let mut spec = TrafficSpec::default();
-    let mut snapshot_every: u64 = 64;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--scheme" => scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
-            "--requests" => requests = flag_value(&mut it, flag)?,
-            "--read-pct" => {
-                spec.read_pct = flag_value(&mut it, flag)?;
-                if spec.read_pct > 100 {
-                    return Err(ArgError("--read-pct must be 0..=100".into()));
-                }
-            }
-            "--zipf" => spec.zipf_theta = flag_value(&mut it, flag)?,
-            "--keyspace" => {
-                spec.keyspace = flag_value(&mut it, flag)?;
-                if spec.keyspace == 0 {
-                    return Err(ArgError("--keyspace must be at least 1".into()));
-                }
-            }
-            "--snapshot-every" => snapshot_every = flag_value(&mut it, flag)?,
-            "--seed" => spec.seed = flag_value(&mut it, flag)?,
-            "--json" => {}
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+/// `supermem kv run`'s flags.
+pub const KV_RUN: &[Opt<KvRunArgs>] = &[
+    Opt("--scheme", "SCHEME", |a, v| {
+        v.scheme().map(|s| a.scheme = s)
+    }),
+    Opt("--requests", "N", |a, v| v.store(&mut a.requests)),
+    Opt("--read-pct", "P", |a, v| {
+        v.within(0, 100).map(|n| a.spec.read_pct = n)
+    }),
+    Opt("--zipf", "T", |a, v| v.store(&mut a.spec.zipf_theta)),
+    Opt("--keyspace", "K", |a, v| {
+        v.at_least_1().map(|n| a.spec.keyspace = n)
+    }),
+    Opt("--snapshot-every", "N", |a, v| {
+        v.store(&mut a.snapshot_every)
+    }),
+    Opt("--seed", "X", |a, v| v.store(&mut a.spec.seed)),
+    Opt::json(),
+];
 
-    let cfg = scheme.apply(supermem::sim::Config::default());
+/// `supermem kv run`: drive the recoverable KV store with Zipfian
+/// traffic.
+pub fn cmd_kv_run(argv: &[String]) -> Result<(), String> {
+    let start = KvRunArgs {
+        scheme: Scheme::SuperMem,
+        requests: 2000,
+        spec: TrafficSpec::default(),
+        snapshot_every: 64,
+    };
+    let a = parse_flags(start, &[KV_RUN], argv)?;
+
+    let cfg = a.scheme.apply(supermem::sim::Config::default());
     let mut mem = DirectMem::new(&cfg);
     // Size the snapshot slots for the whole keyspace (8 B keys and
     // values, 16 B record framing) with headroom, 64-aligned.
     let snap_cap =
-        (supermem_kv::layout::SNAP_HEADER_LEN + spec.keyspace * 24 + 64).next_multiple_of(64);
-    let layout = KvLayout::new(0x8000, 1 << 16, snap_cap)
-        .map_err(|e| ArgError(format!("kv layout: {e}")))?;
-    let mut w = KvWorkload::new(&mut mem, layout, snapshot_every, spec)
-        .map_err(|e| ArgError(format!("kv format: {e}")))?;
-    for _ in 0..requests {
-        Workload::step(&mut w, &mut mem).map_err(|e| ArgError(format!("kv step: {e}")))?;
+        (supermem_kv::layout::SNAP_HEADER_LEN + a.spec.keyspace * 24 + 64).next_multiple_of(64);
+    let layout = KvLayout::new(0x8000, 1 << 16, snap_cap).map_err(|e| format!("kv layout: {e}"))?;
+    let mut w = KvWorkload::new(&mut mem, layout, a.snapshot_every, a.spec)
+        .map_err(|e| format!("kv format: {e}"))?;
+    for _ in 0..a.requests {
+        Workload::step(&mut w, &mut mem).map_err(|e| format!("kv step: {e}"))?;
     }
     let verify = Workload::verify(&mut w, &mut mem);
     let stats = w.store().stats();
@@ -1113,8 +996,8 @@ fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
         .to_vec(),
     );
     t.row(vec![
-        scheme.name().to_owned(),
-        requests.to_string(),
+        a.scheme.name().to_owned(),
+        a.requests.to_string(),
         stats.acked.to_string(),
         w.reads().to_string(),
         stats.puts.to_string(),
@@ -1134,24 +1017,21 @@ fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
         "(verify = recover from the persistent image and compare against the in-DRAM shadow)",
     );
     rep.emit();
-    verify.map_err(|e| ArgError(format!("kv verify failed: {e}")))
+    verify.map_err(|e| format!("kv verify failed: {e}"))
 }
 
-fn cmd_kv_recover(argv: &[String]) -> Result<(), ArgError> {
-    let mut scheme = Scheme::SuperMem;
-    let mut seed: u64 = 1;
-    let mut point: Option<u64> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--scheme" => scheme = parse_scheme(&flag_value::<String>(&mut it, flag)?)?,
-            "--seed" => seed = flag_value(&mut it, flag)?,
-            "--point" => point = Some(flag_value(&mut it, flag)?),
-            "--json" => {}
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+/// `supermem kv recover`'s flags, over `(scheme, seed, crash point)`.
+pub const KV_RECOVER: &[Opt<(Scheme, u64, Option<u64>)>] = &[
+    Opt("--scheme", "SCHEME", |a, v| v.scheme().map(|s| a.0 = s)),
+    Opt("--seed", "N", |a, v| v.store(&mut a.1)),
+    Opt("--point", "K", |a, v| v.parse().map(|n| a.2 = Some(n))),
+    Opt::json(),
+];
+
+/// `supermem kv recover`: crash one KV run at a chosen point and print
+/// the typed recovery report.
+pub fn cmd_kv_recover(argv: &[String]) -> Result<(), String> {
+    let (scheme, seed, point) = parse_flags((Scheme::SuperMem, 1, None), &[KV_RECOVER], argv)?;
 
     let total = kv_crash_points(scheme, 1, seed, KvTortureConfig::default().ops);
     let point = point.unwrap_or(total / 2).clamp(1, total);

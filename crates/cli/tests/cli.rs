@@ -20,6 +20,30 @@ fn help_prints_usage() {
     assert!(ok);
     assert!(stdout.contains("usage:"));
     assert!(stdout.contains("supermem run"));
+    // Each command's block runs from its name to the next command's.
+    let block = |cmd: &str| {
+        stdout
+            .split("supermem ")
+            .find(|b| b.starts_with(cmd))
+            .unwrap()
+    };
+    for flag in ["--channels N", "--read-pct P", "--run-threads N"] {
+        assert!(block("run ").contains(flag), "run usage lacks {flag}");
+    }
+    assert!(stdout.contains("ycsb"), "workloads lack ycsb");
+    for cmd in ["crash ", "torture ", "check "] {
+        assert!(
+            block(cmd).contains("--channels N"),
+            "{cmd}usage lacks --channels"
+        );
+    }
+}
+
+#[test]
+fn check_config_without_a_value_is_an_error() {
+    let (ok, stdout, stderr) = run(&["check", "--config"]);
+    assert!(!ok, "ran every configuration instead:\n{stdout}");
+    assert!(stderr.contains("--config needs a value"), "{stderr}");
 }
 
 #[test]

@@ -58,6 +58,19 @@ pub const FIGURE_SCHEMES: [Scheme; 6] = [
 ];
 
 impl Scheme {
+    /// Every scheme, in `supermem list` order.
+    pub const ALL: [Scheme; 9] = [
+        Scheme::Unsec,
+        Scheme::WriteBackIdeal,
+        Scheme::WriteThrough,
+        Scheme::WtCwc,
+        Scheme::WtXbank,
+        Scheme::SuperMem,
+        Scheme::WtSameBank,
+        Scheme::Osiris,
+        Scheme::Sca,
+    ];
+
     /// The label used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {

@@ -25,7 +25,9 @@
 //!   otherwise; wrong data is *detected* only if a hardware-observable
 //!   signal fired, and SILENT if not.
 //! * **Reports, tallies and shrinking** ([`Report`], [`shrink`]), and the
-//!   command-line grammar every campaign shares ([`parse`]).
+//!   command-line grammar every campaign shares ([`parse`]), one table
+//!   ([`flags`]) on the flag parser of every `supermem` subcommand
+//!   ([`parse_flags`]).
 //!
 //! A subject supplies only what differs: its machine per group, its base
 //! state and workload, its oracle and judge, its [`Fault`] axis, and its
@@ -213,10 +215,13 @@ pub trait Subject: Default + Sync + Sized {
     const VERDICT_COLUMN: bool;
     /// The valueless flag that routes a command line to this subject.
     const MARKER: Option<&'static str>;
+    /// The group flags the subject takes besides the shared
+    /// `--fault --point --seed --seeds` (see [`flags`]).
+    const GROUP_FLAGS: &'static [&'static str];
 
-    /// Applies one command-line flag to the campaign; `Ok(false)` if the
-    /// subject takes no such flag.
-    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String>;
+    /// Applies one command-line flag to the campaign: a shared flag or
+    /// one of [`Subject::GROUP_FLAGS`]; the parser routes no other.
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<(), String>;
     /// The campaign: its groups in sweep order, each with the seeds it
     /// runs (innermost); the faults every crash point is crossed with;
     /// and the single crash point to run, if set.
@@ -555,14 +560,180 @@ pub enum Flag<F> {
     Structure(String),
 }
 
-/// Takes the next argument as `flag`'s value: the one value parser of
-/// the `supermem` command line.
-pub fn flag_value<'a, T: FromStr>(
-    it: &mut impl Iterator<Item = &'a String>,
-    flag: &str,
-) -> Result<T, String> {
-    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse().map_err(|_| format!("invalid {flag} `{raw}`"))
+/// One flag of a `supermem` subcommand's table: its name (dashes
+/// included), the metavar of its value in the usage text (empty for a
+/// switch), and how it applies to the settings (a switch gets an empty
+/// value).
+pub struct Opt<T>(
+    pub &'static str,
+    pub &'static str,
+    pub fn(&mut T, Value<'_>) -> Result<(), String>,
+);
+
+impl<T> Opt<T> {
+    /// `--json`, a switch the report emitter reads from the process
+    /// arguments itself.
+    pub const fn json() -> Self {
+        Opt("--json", "", |_, _| Ok(()))
+    }
+}
+
+/// One flag's value on the command line, and the value checks every
+/// subcommand shares. Each fails with "invalid --FLAG `VALUE`", then the
+/// expected range or names in parentheses where there are some.
+#[derive(Debug, Clone, Copy)]
+pub struct Value<'a> {
+    /// The flag the value belongs to.
+    pub flag: &'a str,
+    /// The value as given.
+    pub raw: &'a str,
+}
+
+impl Value<'_> {
+    /// The error for this value, `hint` appended.
+    pub fn invalid(self, hint: &str) -> String {
+        format!("invalid {} `{}`{hint}", self.flag, self.raw)
+    }
+
+    /// Applies a switch: sets `on`.
+    pub fn on(self, on: &mut bool) -> Result<(), String> {
+        *on = true;
+        Ok(())
+    }
+
+    /// The value parsed as a `T`.
+    pub fn parse<T: FromStr>(self) -> Result<T, String> {
+        self.check(|_| true, "")
+    }
+
+    /// Parses the value into `slot`.
+    pub fn store<T: FromStr>(self, slot: &mut T) -> Result<(), String> {
+        self.parse().map(|n| *slot = n)
+    }
+
+    /// The value parsed as a `T` that passes `ok`, else the error with
+    /// `hint`.
+    fn check<T: FromStr>(self, ok: impl Fn(&T) -> bool, hint: &str) -> Result<T, String> {
+        let n = self.raw.parse().ok().filter(ok);
+        n.ok_or_else(|| self.invalid(hint))
+    }
+
+    /// A number in `lo..=hi`.
+    pub fn within<T: FromStr + PartialOrd + Display>(self, lo: T, hi: T) -> Result<T, String> {
+        self.check(|n| (&lo..=&hi).contains(&n), &format!(" ({lo}..={hi})"))
+    }
+
+    /// A number of at least 1.
+    pub fn at_least_1<T: FromStr + PartialOrd + From<u8>>(self) -> Result<T, String> {
+        self.check(|n| *n >= T::from(1), " (at least 1)")
+    }
+
+    /// A power of two (a channel count).
+    pub fn pow2(self) -> Result<usize, String> {
+        self.check(|n: &usize| n.is_power_of_two(), " (a power of two)")
+    }
+
+    /// A byte size with an optional `K` or `M` suffix.
+    pub fn size(self) -> Result<u64, String> {
+        let (digits, mult) = match self.raw.as_bytes().last() {
+            Some(b'K' | b'k') => (&self.raw[..self.raw.len() - 1], 1024),
+            Some(b'M' | b'm') => (&self.raw[..self.raw.len() - 1], 1024 * 1024),
+            _ => (self.raw, 1),
+        };
+        let n = digits.parse::<u64>().ok();
+        n.map(|n| n * mult).ok_or_else(|| self.invalid(""))
+    }
+
+    /// `found`, the value's parse, or the error listing the `names` the
+    /// value may take.
+    pub fn one_of<T, N: Display>(
+        self,
+        found: Option<T>,
+        names: impl IntoIterator<Item = N>,
+    ) -> Result<T, String> {
+        let names: Vec<String> = names.into_iter().map(|n| n.to_string()).collect();
+        found.ok_or_else(|| self.invalid(&format!(" (expected one of: {})", names.join(" "))))
+    }
+
+    /// A scheme name (paper labels and aliases, case-insensitive).
+    pub fn scheme(self) -> Result<Scheme, String> {
+        let names = Scheme::ALL.map(|s| s.name().to_ascii_lowercase());
+        self.one_of(Scheme::parse(self.raw), names)
+    }
+}
+
+/// The one flag parser of the `supermem` command line: applies each flag
+/// of `argv` to `settings` through the entry of `tables` that names it.
+pub fn parse_flags<T>(mut settings: T, tables: &[&[Opt<T>]], argv: &[String]) -> Result<T, String> {
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let Some(Opt(_, metavar, apply)) = tables.iter().flat_map(|t| *t).find(|o| o.0 == flag)
+        else {
+            return Err(format!("unknown flag `{flag}`"));
+        };
+        let raw = if metavar.is_empty() {
+            ""
+        } else {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))?
+        };
+        apply(&mut settings, Value { flag, raw })?;
+    }
+    Ok(settings)
+}
+
+/// The usage lines of `supermem COMMAND`, generated from the flags of
+/// `tables` and wrapped to 80 columns.
+pub fn usage<T>(command: &str, tables: &[&[Opt<T>]]) -> String {
+    let mut out = format!("  supermem {command:<8}");
+    let (indent, mut width) = (out.len(), out.len());
+    for Opt(name, metavar, _) in tables.iter().flat_map(|t| *t) {
+        let word = match *metavar {
+            "" => format!(" [{name}]"),
+            m => format!(" [{name} {m}]"),
+        };
+        if width + word.len() > 80 {
+            out += &format!("\n{:indent$}", "");
+            width = indent;
+        }
+        out += &word;
+        width += word.len();
+    }
+    out
+}
+
+/// The campaign flags of subject `S`: its group flags
+/// ([`Subject::GROUP_FLAGS`]), then `--fault --point --seed --seeds`
+/// every campaign shares. Each routes through [`Subject::set`].
+pub fn flags<S: Subject>() -> Vec<Opt<S>> {
+    let group: [Opt<S>; 4] = [
+        Opt("--scheme", "SCHEME", |s, v| {
+            s.set(Flag::Scheme(v.scheme()?))
+        }),
+        Opt("--structure", "STRUCTURE", |s, v| {
+            s.set(Flag::Structure(v.raw.to_owned()))
+        }),
+        Opt("--persisted-levels", "L", |s, v| {
+            s.set(Flag::Levels(v.at_least_1()?))
+        }),
+        Opt("--channels", "N", |s, v| s.set(Flag::Channels(v.pow2()?))),
+    ];
+    let shared: [Opt<S>; 5] = [
+        Opt("--fault", "FAULT", |s, v| {
+            let all = S::Fault::all();
+            let fault = all.iter().find(|f| f.name().eq_ignore_ascii_case(v.raw));
+            s.set(Flag::Fault(
+                v.one_of(fault.copied(), all.iter().map(|f| f.name()))?,
+            ))
+        }),
+        Opt("--point", "K", |s, v| s.set(Flag::Point(v.parse()?))),
+        Opt("--seed", "N", |s, v| s.set(Flag::Seeds(vec![v.parse()?]))),
+        Opt("--seeds", "COUNT", |s, v| {
+            s.set(Flag::Seeds((1..=v.at_least_1()?).collect()))
+        }),
+        Opt::json(),
+    ];
+    let group = group.into_iter().filter(|o| S::GROUP_FLAGS.contains(&o.0));
+    group.chain(shared).collect()
 }
 
 /// Parses a campaign command line (the arguments after the subcommand)
@@ -570,67 +741,9 @@ pub fn flag_value<'a, T: FromStr>(
 /// `supermem torture`, `torture --tree`, `serve --torture` and
 /// `kv torture`.
 pub fn parse<S: Subject>(argv: &[String]) -> Result<S, String> {
-    let mut subject = S::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        // `--json` is read by the report emitter; the marker routed here.
-        if flag == "--json" || S::MARKER == Some(flag) {
-            continue;
-        }
-        let parsed = match flag {
-            "--fault" => {
-                let name: String = flag_value(&mut it, flag)?;
-                let all = S::Fault::all();
-                let fault = all.iter().find(|f| f.name().eq_ignore_ascii_case(&name));
-                let names: Vec<&str> = all.iter().map(|f| f.name()).collect();
-                Flag::Fault(*fault.ok_or_else(|| {
-                    format!(
-                        "unknown fault `{name}` (expected one of: {})",
-                        names.join(" ")
-                    )
-                })?)
-            }
-            "--point" => Flag::Point(flag_value(&mut it, flag)?),
-            "--seed" => Flag::Seeds(vec![flag_value(&mut it, flag)?]),
-            "--seeds" => {
-                let n: u64 = flag_value(&mut it, flag)?;
-                if n == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-                Flag::Seeds((1..=n).collect())
-            }
-            "--scheme" => {
-                let name: String = flag_value(&mut it, flag)?;
-                Flag::Scheme(
-                    Scheme::parse(&name)
-                        .ok_or_else(|| format!("unknown scheme `{}`", name.to_ascii_lowercase()))?,
-                )
-            }
-            "--channels" => {
-                let n: usize = flag_value(&mut it, flag)?;
-                if !n.is_power_of_two() {
-                    return Err("--channels must be a power of two".into());
-                }
-                Flag::Channels(n)
-            }
-            "--persisted-levels" => {
-                let n: u32 = flag_value(&mut it, flag)?;
-                if n == 0 {
-                    return Err("--persisted-levels must be at least 1 (level 0 persists \
-                                nothing and leaves no tree region to torture)"
-                        .into());
-                }
-                Flag::Levels(n)
-            }
-            "--structure" => Flag::Structure(flag_value(&mut it, flag)?),
-            _ => return Err(format!("unknown flag `{flag}`")),
-        };
-        if !subject.set(parsed)? {
-            return Err(format!("unknown flag `{flag}`"));
-        }
-    }
-    Ok(subject)
+    // The marker only routed the command line here.
+    let marker = S::MARKER.map(|m| Opt(m, "", |_, _| Ok(())));
+    parse_flags(S::default(), &[marker.as_slice(), &flags::<S>()], argv)
 }
 
 #[cfg(test)]

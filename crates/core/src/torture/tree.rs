@@ -147,16 +147,17 @@ impl Subject for TreeTortureConfig {
         "(tamper = ECC-clean node-line forgery; only the recovery-time tree audit can catch it)";
     const VERDICT_COLUMN: bool = true;
     const MARKER: Option<&'static str> = Some("--tree");
+    const GROUP_FLAGS: &'static [&'static str] = &["--persisted-levels"];
 
-    fn set(&mut self, flag: Flag<TreeFault>) -> Result<bool, String> {
+    fn set(&mut self, flag: Flag<TreeFault>) -> Result<(), String> {
         match flag {
             Flag::Levels(n) => self.levels = vec![n],
             Flag::Fault(f) => self.faults = vec![f],
             Flag::Point(p) => self.point = Some(p),
             Flag::Seeds(s) => self.seeds = s,
-            _ => return Ok(false),
+            _ => unreachable!("not in GROUP_FLAGS"),
         }
-        Ok(true)
+        Ok(())
     }
 
     fn shape(&self) -> (Vec<(u32, Vec<u64>)>, &[TreeFault], Option<u64>) {

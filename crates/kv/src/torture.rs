@@ -255,17 +255,18 @@ impl Subject for KvTortureConfig {
          flagged by a typed error, the recovery report, or ECC/poison/dirty-shutdown)";
     const VERDICT_COLUMN: bool = true;
     const MARKER: Option<&'static str> = None;
+    const GROUP_FLAGS: &'static [&'static str] = &["--scheme", "--channels"];
 
-    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String> {
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<(), String> {
         match flag {
             Flag::Scheme(s) => self.schemes = vec![s],
             Flag::Fault(f) => self.classes = vec![f],
             Flag::Point(p) => self.point = Some(p),
             Flag::Seeds(s) => self.seeds = s,
             Flag::Channels(n) => self.channels = vec![n],
-            _ => return Ok(false),
+            _ => unreachable!("not in GROUP_FLAGS"),
         }
-        Ok(true)
+        Ok(())
     }
 
     fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>) {

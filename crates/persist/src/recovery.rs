@@ -590,7 +590,7 @@ pub fn recover_osiris(
 
 /// Cost and outcome report of one crash-image tree rebuild — the typed
 /// result both the checked constructors and [`verify_image_integrity`]
-/// share (see [`rebuild_image_tree`]).
+/// share (see `rebuild_image_tree`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeRebuild {
     /// Counter lines read back to reconstruct leaf digests (0 when the
@@ -604,8 +604,8 @@ pub struct TreeRebuild {
     /// Transient-read retries spent on the rebuild's media reads.
     pub read_retries: u64,
     /// Modeled rebuild cost: lines read at
-    /// [`RECOVERY_LINE_READ_CYCLES`], hashes at
-    /// [`RECOVERY_NODE_HASH_CYCLES`].
+    /// `RECOVERY_LINE_READ_CYCLES`, hashes at
+    /// `RECOVERY_NODE_HASH_CYCLES`.
     pub recovery_cycles: u64,
     /// Whether the recomputed root equals the trusted root register.
     pub root_matches: bool,
@@ -743,7 +743,7 @@ pub enum IntegrityVerdict {
 }
 
 /// Rebuilds the integrity tree over a crash image through the checked
-/// media path ([`rebuild_image_tree`]) and compares it with the trusted
+/// media path (`rebuild_image_tree`) and compares it with the trusted
 /// root register that survived the crash.
 ///
 /// # Errors

@@ -34,6 +34,7 @@
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
+use supermem::torture::Value;
 use supermem_persist::{Arena, PMem, SlotArray, SlotError, SlotRecord, SlotState, SlotView};
 
 use crate::schedule::{DetachedSchedule, Directive, SchedPoint, Schedule};
@@ -89,6 +90,12 @@ impl StructureKind {
             "hash" => Some(StructureKind::Hash),
             _ => None,
         }
+    }
+
+    /// Parses a `--structure` value.
+    pub fn from_flag(raw: &str) -> Result<Self, String> {
+        let flag = "--structure";
+        Value { flag, raw }.one_of(Self::parse(raw), Self::ALL)
     }
 }
 

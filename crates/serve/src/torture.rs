@@ -166,21 +166,18 @@ impl Subject for ServeTortureConfig {
         "(crash points land between announce, node persist, linearizing CAS, completion)";
     const VERDICT_COLUMN: bool = false;
     const MARKER: Option<&'static str> = Some("--torture");
+    const GROUP_FLAGS: &'static [&'static str] = &["--scheme", "--structure"];
 
-    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<bool, String> {
+    fn set(&mut self, flag: Flag<Self::Fault>) -> Result<(), String> {
         match flag {
             Flag::Scheme(s) => self.schemes = vec![s],
-            Flag::Structure(s) => {
-                self.structures = vec![StructureKind::parse(&s).ok_or_else(|| {
-                    format!("unknown structure `{s}` (expected stack|queue|hash)")
-                })?];
-            }
+            Flag::Structure(s) => self.structures = vec![StructureKind::from_flag(&s)?],
             Flag::Fault(f) => self.classes = vec![f],
             Flag::Point(p) => self.point = Some(p),
             Flag::Seeds(s) => self.seeds = s,
-            _ => return Ok(false),
+            _ => unreachable!("not in GROUP_FLAGS"),
         }
-        Ok(true)
+        Ok(())
     }
 
     fn shape(&self) -> (Vec<(Self::Group, Vec<u64>)>, &[Self::Fault], Option<u64>) {

@@ -55,3 +55,73 @@ fn encryption_key_is_seed_stable() {
     assert_eq!(a, b);
     assert_ne!(a, c);
 }
+
+/// FNV-1a over everything a run reports: its `Stats` (every counter and
+/// every per-transaction latency), measured cycles, program and
+/// transaction counts, workload name and the telemetry JSON.
+fn run_digest(r: &supermem::RunResult) -> u64 {
+    let telemetry = r.telemetry.as_ref().expect("observed run");
+    let parts = [
+        format!("{:?}", r.stats),
+        r.total_cycles.to_string(),
+        r.programs.to_string(),
+        r.txns.to_string(),
+        r.workload.clone(),
+        telemetry.to_json(r.total_cycles),
+    ];
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in &parts {
+        for &b in part.as_bytes().iter().chain(&[0xff]) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn every_run_driver_matches_its_golden_digests() {
+    use supermem::scheme::FIGURE_SCHEMES;
+    use supermem::workloads::WorkloadKind;
+    use supermem::Experiment;
+
+    let queue = |scheme: Scheme, txns: u64| {
+        RunConfig::new(scheme, WorkloadKind::Queue)
+            .with_txns(txns)
+            .with_req_bytes(256)
+    };
+    let session = |rc: RunConfig| Experiment::new(rc).unwrap().observe();
+    let mut got = Vec::new();
+    for scheme in FIGURE_SCHEMES {
+        got.push(run_digest(&session(queue(scheme, 30)).run()));
+    }
+    for scheme in [Scheme::WriteThrough, Scheme::SuperMem] {
+        let rc = queue(scheme, 10).with_programs(4);
+        got.push(run_digest(&session(rc).run_multicore()));
+    }
+    let trace = session(queue(Scheme::SuperMem, 30)).record_trace();
+    for scheme in [Scheme::Unsec, Scheme::WriteThrough, Scheme::SuperMem] {
+        got.push(run_digest(&session(queue(scheme, 30)).replay(&trace)));
+    }
+    let rc = queue(Scheme::SuperMem, 10).with_programs(2);
+    got.push(run_digest(&session(rc).run_multicore_trace()));
+    // Pinned run by run: the closed-loop, multi-program, replay and
+    // event-interleaved drivers must keep every reported number.
+    assert_eq!(
+        got,
+        [
+            0xf569_d31a_1c72_3b0a,
+            0xfae8_ae49_34a0_496b,
+            0x09a0_caf7_d331_2a42,
+            0xc952_7a4d_986c_dd7f,
+            0x319d_3eba_7ccf_b309,
+            0xa365_673e_692a_eb59,
+            0x0dfa_fb15_919b_e3a0,
+            0x9a6f_c205_70b9_92f1,
+            0x8d00_b07a_f1d8_2672,
+            0x1a86_c5c3_d621_7454,
+            0x1439_faf1_b4c0_644f,
+            0xf250_3f53_3537_414c,
+        ],
+        "{got:#018x?}"
+    );
+}

@@ -5,7 +5,7 @@
 
 use std::hint::black_box;
 use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig};
+use supermem::{Experiment, RunConfig};
 use supermem_bench::micro::Harness;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
             let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
             rc.txns = 50;
             rc.req_bytes = 1024;
-            black_box(run_single(&rc))
+            black_box(Experiment::new(rc).unwrap().run_single())
         });
     }
 
@@ -26,7 +26,7 @@ fn main() {
             rc.txns = 50;
             rc.req_bytes = 1024;
             rc.array_footprint = 1 << 20;
-            black_box(run_single(&rc))
+            black_box(Experiment::new(rc).unwrap().run_single())
         });
     }
 

@@ -12,7 +12,7 @@ use supermem::memctrl::{ChannelSet, MemoryController};
 use supermem::nvm::addr::LineAddr;
 use supermem::sim::Config;
 use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme};
+use supermem::{Experiment, RunConfig, Scheme};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
 use supermem_bench::micro::Harness;
 use supermem_kv::{kv_run_case, KvClassification, KvTortureCase};
@@ -191,7 +191,11 @@ fn main() -> ExitCode {
         rc.req_bytes = 1024;
         rc.channels = 8;
         h.bench("single_run/SuperMem-ch8-large", || {
-            black_box(run_single(black_box(&rc)))
+            black_box(
+                Experiment::new(black_box(&rc).clone())
+                    .unwrap()
+                    .run_single(),
+            )
         });
     }
 

@@ -16,7 +16,7 @@ use supermem::crypto::{deuce::bit_flips, EncryptionEngine};
 use supermem::metrics::TextTable;
 use supermem::trace::TraceEvent;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{record_workload_trace, sweep, RunConfig, Scheme};
+use supermem::{sweep, Experiment, RunConfig, Scheme};
 use supermem_bench::{txns, Report};
 
 #[derive(Default)]
@@ -113,7 +113,7 @@ fn main() {
         rc.txns = n;
         rc.req_bytes = 1024;
         rc.array_footprint = 1 << 20;
-        let trace = record_workload_trace(&rc);
+        let trace = Experiment::new(rc).expect("valid config").record_trace();
         let f = replay_flips(&trace);
         let per = |v: u64| v as f64 / f.writes.max(1) as f64;
         vec![

@@ -14,54 +14,34 @@
 //! one line share a channel) and core-side serialization remain.
 
 use supermem::metrics::TextTable;
+use supermem::torture::{parse_flags, Opt, Value};
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::{run_batch, RunConfig, Scheme};
 use supermem_bench::{txns, Report};
 
 const SCHEMES: [Scheme; 2] = [Scheme::WriteThrough, Scheme::SuperMem];
 
-/// Parses `--channels-list 1,2,4,8` (or `--channels-list=1,2,4,8`) from
-/// the process arguments; the hard-coded 1→8 sweep is only the default.
-fn channels_list() -> Result<Vec<usize>, String> {
-    let mut list = vec![1, 2, 4, 8];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let value = if arg == "--channels-list" {
-            args.next()
-                .ok_or_else(|| "--channels-list needs a value (e.g. 1,2,4)".to_owned())?
-        } else if let Some(v) = arg.strip_prefix("--channels-list=") {
-            v.to_owned()
-        } else {
-            return Err(format!("unknown flag `{arg}` (only --channels-list)"));
-        };
-        list = value
-            .split(',')
-            .map(|tok| {
-                let n: usize = tok
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("invalid channel count `{tok}`"))?;
-                if n == 0 || !n.is_power_of_two() {
-                    return Err(format!("channel count {n} must be a power of two"));
-                }
-                Ok(n)
-            })
-            .collect::<Result<_, String>>()?;
-        if list.is_empty() {
-            return Err("--channels-list must name at least one channel count".to_owned());
-        }
-    }
-    Ok(list)
+/// The flags: `--channels-list 1,2,4,8` (the default sweep) and `--json`.
+const FLAGS: &[Opt<Vec<usize>>] = &[
+    Opt("--channels-list", "N,N,...", |list, v| {
+        let counts = v.raw.split(',').map(|raw| Value { raw, ..v }.pow2());
+        *list = counts.collect::<Result<_, _>>()?;
+        Ok(())
+    }),
+    Opt::json(),
+];
+
+/// The channel counts to sweep, parsed from `argv`.
+fn channels_list(argv: &[String]) -> Result<Vec<usize>, String> {
+    parse_flags(vec![1, 2, 4, 8], &[FLAGS], argv)
 }
 
 fn main() {
-    let channels = match channels_list() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("channelsweep: {e}");
-            std::process::exit(2);
-        }
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let channels = channels_list(&argv).unwrap_or_else(|e| {
+        eprintln!("channelsweep: {e}");
+        std::process::exit(2);
+    });
     let n = txns();
     let mut jobs = Vec::new();
     for scheme in SCHEMES {
@@ -104,4 +84,33 @@ fn main() {
         "(cells = cycles({first} channel{plural}) / cycles(N channels); higher is better)"
     ));
     rep.emit();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Vec<usize>, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        channels_list(&argv)
+    }
+
+    #[test]
+    fn json_and_channel_lists_parse() {
+        assert_eq!(parse(""), Ok(vec![1, 2, 4, 8]));
+        assert_eq!(parse("--json --channels-list 1,2"), Ok(vec![1, 2]));
+        assert_eq!(parse("--channels-list 1,2 --json"), Ok(vec![1, 2]));
+        assert_eq!(
+            parse("--channels-list 3"),
+            Err("invalid --channels-list `3` (a power of two)".to_owned())
+        );
+        assert_eq!(
+            parse("--channels-list 1,0"),
+            Err("invalid --channels-list `0` (a power of two)".to_owned())
+        );
+        assert_eq!(
+            parse("--channels-list"),
+            Err("--channels-list needs a value".to_owned())
+        );
+    }
 }

@@ -6,7 +6,7 @@
 //! 17–24% (256 B) up to 40–48% (4 KB); WT+XBank up to 45%; SuperMem
 //! lands within a few percent of the ideal WB.
 
-use supermem::{run_single, RunConfig};
+use supermem::{Experiment, RunConfig};
 use supermem_bench::{normalized_figure_report, txns, REQUEST_SIZES};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
             rc.req_bytes = REQUEST_SIZES[part];
             rc
         },
-        run_single,
+        Experiment::run_single,
         supermem::RunResult::mean_txn_latency,
     )
     .emit();

@@ -6,7 +6,7 @@
 //! banks saturate, so WT+CWC (which removes writes) overtakes WT+XBank
 //! (which only spreads them); SuperMem still tracks the ideal WB.
 
-use supermem::{run_multicore, RunConfig};
+use supermem::{Experiment, RunConfig};
 use supermem_bench::{normalized_figure_report, txns};
 
 const PROGRAMS: [usize; 3] = [1, 4, 8];
@@ -34,7 +34,7 @@ fn main() {
             rc.array_footprint = 2 << 20; // per-program footprint
             rc
         },
-        run_multicore,
+        Experiment::run,
         supermem::RunResult::mean_txn_latency,
     )
     .emit();

@@ -3,7 +3,7 @@
 //! at a time — closer to the paper's cycle-driven gem5 cores than the
 //! transaction-granularity scheduler in `fig14`.
 
-use supermem::{run_multicore_trace, RunConfig};
+use supermem::{Experiment, RunConfig};
 use supermem_bench::{normalized_figure_report, txns};
 
 const PROGRAMS: [usize; 3] = [1, 4, 8];
@@ -31,7 +31,7 @@ fn main() {
             rc.array_footprint = 2 << 20;
             rc
         },
-        run_multicore_trace,
+        Experiment::run_multicore_trace,
         supermem::RunResult::mean_txn_latency,
     )
     .emit();

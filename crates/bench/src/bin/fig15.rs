@@ -6,7 +6,7 @@
 //! 20–27% of WT's writes at 256 B, 35–42% at 1 KB, and 45–48% at 4 KB
 //! thanks to better spatial locality feeding CWC.
 
-use supermem::{run_single, RunConfig};
+use supermem::{Experiment, RunConfig};
 use supermem_bench::{normalized_figure_report, txns, REQUEST_SIZES};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
             rc.req_bytes = REQUEST_SIZES[part];
             rc
         },
-        run_single,
+        Experiment::run_single,
         |r| r.nvm_writes() as f64,
     )
     .emit();

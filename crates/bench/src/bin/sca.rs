@@ -10,11 +10,11 @@ use supermem::metrics::TextTable;
 use supermem::sca::ScaSystem;
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::WorkloadSpec;
-use supermem::{run_single, sweep, RunConfig, Scheme, SystemBuilder};
+use supermem::{sweep, Experiment, RunConfig, Scheme, SystemBuilder};
 use supermem_bench::{txns, Report};
 
-/// Runs one workload through the SCA adapter, mirroring `run_single`'s
-/// measurement discipline.
+/// Runs one workload through the SCA adapter, mirroring
+/// `Experiment::run_single`'s measurement discipline.
 fn run_sca(rc: &RunConfig) -> (f64, u64, u64) {
     let mut mem = ScaSystem::new(
         SystemBuilder::new()
@@ -53,7 +53,7 @@ fn main() {
             let mut rc = RunConfig::new(scheme, *kind);
             rc.txns = n;
             rc.req_bytes = 1024;
-            run_single(&rc)
+            Experiment::new(rc).expect("valid config").run_single()
         };
         let wb = run(Scheme::WriteBackIdeal);
         let sm = run(Scheme::SuperMem);

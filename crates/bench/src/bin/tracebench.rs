@@ -11,7 +11,7 @@ use supermem::metrics::TextTable;
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::trace::encode;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{record_workload_trace, replay_trace, sweep, RunConfig, Scheme};
+use supermem::{sweep, Experiment, RunConfig, Scheme};
 use supermem_bench::{txns, Report};
 
 fn main() {
@@ -24,14 +24,19 @@ fn main() {
         rc.txns = n;
         rc.req_bytes = 1024;
         rc.array_footprint = 1 << 20;
-        let trace = record_workload_trace(&rc);
+        let trace = Experiment::new(rc.clone())
+            .expect("valid config")
+            .record_trace();
         let encoded = encode(&trace);
         let mut cells = vec![kind.name().to_owned()];
         let mut base = None;
         for scheme in FIGURE_SCHEMES {
             let mut rc = rc.clone();
             rc.scheme = scheme;
-            let lat = replay_trace(&rc, &trace).mean_txn_latency();
+            let lat = Experiment::new(rc)
+                .expect("valid config")
+                .replay(&trace)
+                .mean_txn_latency();
             let b = *base.get_or_insert(lat);
             cells.push(format!("{:.2}", lat / b));
         }

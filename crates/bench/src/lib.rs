@@ -37,7 +37,7 @@ use supermem::metrics::TextTable;
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::WorkloadKind;
-use supermem::{sweep, RunConfig, RunResult, Scheme};
+use supermem::{sweep, Experiment, RunConfig, RunResult, Scheme};
 
 /// Transactions per run, from `SUPERMEM_TXNS` (default 200).
 pub fn txns() -> u64 {
@@ -76,7 +76,8 @@ pub fn normalized_table(title: &str, scheme_names: &[&str], rows: &[(String, Vec
 /// The workload × scheme grid behind Figures 13–15: one [`RunConfig`]
 /// per (part, workload, scheme) cell, all cells executed through the
 /// parallel sweep engine, one table per part with each workload row
-/// normalized to the first scheme's metric.
+/// normalized to the first scheme's metric. `runner` picks the
+/// [`Experiment`] driver each cell runs.
 ///
 /// Cells are reassembled **in input order**, so the rendered report is
 /// byte-identical to the historical sequential nested loops.
@@ -89,7 +90,7 @@ pub fn normalized_figure_report<F, R, M>(
 ) -> Report
 where
     F: Fn(usize, WorkloadKind, Scheme) -> RunConfig,
-    R: Fn(&RunConfig) -> RunResult + Sync,
+    R: Fn(&mut Experiment) -> RunResult + Sync,
     M: Fn(&RunResult) -> f64,
 {
     let mut jobs = Vec::new();
@@ -100,7 +101,9 @@ where
             }
         }
     }
-    let results = sweep(&jobs, |rc| runner(rc));
+    let results = sweep(&jobs, |rc| {
+        runner(&mut Experiment::new(rc.clone()).unwrap_or_else(|e| panic!("{e}")))
+    });
     let scheme_names = FIGURE_SCHEMES.map(supermem::Scheme::name);
     let cells_per_part = ALL_KINDS.len() * FIGURE_SCHEMES.len();
     let mut rep = Report::new(name);

@@ -9,7 +9,7 @@ use supermem::verify::{check_run, check_run_trace, run_mutant_sharded, CheckRepo
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::Workload;
 use supermem::workloads::WorkloadKind;
-use supermem::{sweep, Experiment, RunConfig, RunResult, Scheme};
+use supermem::{run_batch, sweep, Experiment, RunConfig, RunResult, Scheme};
 use supermem_bench::Report;
 use supermem_kv::{
     kv_crash_points, kv_run_case, KvLayout, KvTortureCase, KvTortureConfig, KvWorkload,
@@ -18,17 +18,6 @@ use supermem_lincheck::{find_minimal, lincheck, CrashMode, LincheckConfig, Mutan
 use supermem_serve::{run_serve, ServeConfig, StructureKind, TrafficSpec};
 
 use crate::args::{parse_run, PROFILE_CMD, RUN_CMD, SWEEP_CMD};
-
-/// Validates `rc` up front so the free-run path below cannot panic.
-fn validated(rc: &RunConfig) -> Result<(), String> {
-    rc.validate().map_err(|e| e.to_string())
-}
-
-fn execute(rc: &RunConfig) -> RunResult {
-    Experiment::new(rc.clone())
-        .expect("config validated before execute")
-        .run()
-}
 
 fn result_row(r: &RunResult) -> Vec<String> {
     vec![
@@ -62,8 +51,7 @@ fn result_headers() -> Vec<String> {
 /// `supermem run`
 pub fn cmd_run(argv: &[String]) -> Result<(), String> {
     let p = parse_run(RUN_CMD, argv)?;
-    validated(&p.rc)?;
-    let r = execute(&p.rc);
+    let r = Experiment::new(p.rc).map_err(|e| e.to_string())?.run();
     let mut t = TextTable::new(result_headers());
     t.row(result_row(&r));
     print!("{}", if p.csv { t.to_csv() } else { t.render() });
@@ -84,11 +72,11 @@ pub fn cmd_sweep(argv: &[String]) -> Result<(), String> {
         })
         .collect();
     for rc in &jobs {
-        validated(rc)?;
+        rc.validate().map_err(|e| e.to_string())?;
     }
     // All points run through the parallel sweep engine; results come
     // back in input order, so the table matches the sequential output.
-    let results = sweep(&jobs, execute);
+    let results = run_batch(&jobs);
 
     let mut t = TextTable::new(
         std::iter::once(param.to_owned())
@@ -772,11 +760,13 @@ pub struct LincheckArgs {
 /// `supermem lincheck`'s flags.
 pub const LINCHECK: &[Opt<LincheckArgs>] = &[
     Opt("--structure", "{STRUCTURE|all}", |a, v| {
-        a.structures = match v.raw {
-            "all" => StructureKind::ALL.to_vec(),
-            raw => vec![StructureKind::from_flag(raw)?],
+        let found = match v.raw {
+            "all" => Some(StructureKind::ALL.to_vec()),
+            raw => StructureKind::parse(raw).map(|s| vec![s]),
         };
-        Ok(())
+        let names = StructureKind::ALL.map(StructureKind::name);
+        v.one_of(found, names.into_iter().chain(["all"]))
+            .map(|s| a.structures = s)
     }),
     Opt("--cores", "N", |a, v| v.within(1, 4).map(|n| a.cores = n)),
     Opt("--ops", "N", |a, v| v.within(1, 8).map(|n| a.ops = n)),

@@ -232,7 +232,10 @@ mod tests {
             ),
             ("serve --structure foo", structure),
             ("serve --torture --structure foo", structure),
-            ("lincheck --structure foo", structure),
+            (
+                "lincheck --structure foo",
+                "invalid --structure `foo` (expected one of: stack queue hash all)",
+            ),
             ("torture --fault foo", fault),
             ("serve --torture --fault foo", fault),
             ("kv torture --fault foo", fault),

@@ -1,12 +1,31 @@
 //! Experiment sessions: validated configuration, pluggable observers,
-//! and the run drivers behind them.
+//! and the two run drivers.
 //!
-//! [`Experiment`] is the front door for running workloads. It validates a
+//! [`Experiment`] is the one way to run a workload. It validates a
 //! [`RunConfig`] up front (returning [`ConfigError`] instead of panicking
-//! mid-run), optionally attaches probe-layer collectors, and exposes the
-//! same drivers the free functions in [`crate::runner`] forward to:
-//! [`Experiment::run`], [`Experiment::run_multicore`],
-//! [`Experiment::run_multicore_trace`], and [`Experiment::replay`].
+//! mid-run), optionally attaches probe-layer collectors, and runs one of
+//! two drivers:
+//!
+//! * **Closed loop** — [`Experiment::run`] (also named
+//!   [`Experiment::run_multicore`]) for the configured `programs`, and
+//!   [`Experiment::run_single`] for one. The driver
+//!   1. builds and initializes one workload per program,
+//!   2. checkpoints and resets statistics (figures measure the steady
+//!      phase),
+//!   3. runs every program's transactions, the core with the smallest
+//!      clock next, recording per-transaction latency,
+//!   4. drains everything so write counts are complete, and snapshots
+//!      the statistics,
+//!   5. **verifies each persistent structure against its shadow model**
+//!      — so every data point in every figure doubles as an end-to-end
+//!      correctness test of the encryption/persistence stack. The
+//!      snapshot comes first, so verification traffic is never counted.
+//! * **Trace** — [`Experiment::replay`] for one recorded trace (see
+//!   [`Experiment::record_trace`]) and [`Experiment::run_multicore_trace`]
+//!   for one trace per program. The driver replays the traces on a fresh
+//!   machine, the core with the smallest clock executing its next memory
+//!   operation, then drains. It verifies nothing: a trace carries no
+//!   workload to check.
 //!
 //! # Examples
 //!
@@ -139,14 +158,36 @@ impl Experiment {
         std::mem::take(&mut self.observers)
     }
 
-    /// Runs the experiment: [`Experiment::run_single`] when `programs`
-    /// is 1, [`Experiment::run_multicore`] otherwise.
+    /// Runs the experiment: `programs` copies of the workload on
+    /// separate cores, interleaved in simulated-time order (the core with
+    /// the smallest clock executes its next transaction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction fails to commit or the final verification
+    /// finds a divergence — either indicates a simulator bug, not a
+    /// recoverable condition.
     pub fn run(&mut self) -> RunResult {
-        if self.rc.programs > 1 {
-            self.run_multicore()
-        } else {
-            self.run_single()
-        }
+        self.run_programs(self.rc.programs)
+    }
+
+    /// Runs one workload on core 0, whatever the configured `programs`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Experiment::run`].
+    pub fn run_single(&mut self) -> RunResult {
+        self.run_programs(1)
+    }
+
+    /// Another name for [`Experiment::run`], kept because the benchmark
+    /// harness calls it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Experiment::run`].
+    pub fn run_multicore(&mut self) -> RunResult {
+        self.run()
     }
 
     /// Attaches the session's observers to `sys` (start of the measured
@@ -174,61 +215,17 @@ impl Experiment {
         telemetry
     }
 
-    /// Runs one workload on core 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction fails to commit or the final verification
-    /// finds a divergence — either indicates a simulator bug, not a
-    /// recoverable condition.
-    pub fn run_single(&mut self) -> RunResult {
+    /// The closed-loop driver behind [`Experiment::run`],
+    /// [`Experiment::run_single`] and [`Experiment::run_multicore`]:
+    /// builds one workload per program, checkpoints and resets the
+    /// statistics, runs every program's transactions in simulated-time
+    /// order, drains, snapshots the statistics, then verifies each
+    /// program against its shadow model.
+    fn run_programs(&mut self, programs: usize) -> RunResult {
         let rc = self.rc.clone();
-        let mut sys = System::new(rc.build_config());
-        let spec = rc.spec_for(0);
-        let mut w = spec.build(&mut sys).expect("validated spec must build");
-        sys.checkpoint();
-        sys.reset_stats();
-        self.arm(&mut sys);
-        let measure_start = sys.now();
-        for _ in 0..rc.txns {
-            let start = sys.now();
-            w.step(&mut sys).expect("transaction commit failed");
-            let end = sys.now();
-            sys.record_txn(start, end);
-        }
-        sys.checkpoint(); // complete the write counts
-        let measured_end = sys.now();
-        let stats = sys.stats().clone();
-        let telemetry = self.collect(&mut sys);
-        let wear = sys.controller().wear_report();
-        // Verify *after* snapshotting: the full-structure scan would
-        // otherwise swamp the measured phase's cache statistics.
-        w.verify(&mut sys).expect("workload verification failed");
-        RunResult {
-            scheme: rc.scheme,
-            workload: spec.kind.name().to_owned(),
-            req_bytes: rc.req_bytes,
-            programs: 1,
-            txns: rc.txns,
-            stats,
-            total_cycles: measured_end - measure_start,
-            wear,
-            telemetry,
-        }
-    }
-
-    /// Runs `programs` copies of the workload on separate cores,
-    /// interleaving cores in simulated-time order (the core with the
-    /// smallest clock executes its next transaction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction fails or verification finds a divergence.
-    pub fn run_multicore(&mut self) -> RunResult {
-        let rc = self.rc.clone();
-        let mut sys = System::new(rc.build_config());
-        let mut workloads = Vec::with_capacity(rc.programs);
-        for p in 0..rc.programs {
+        let mut sys = System::new(rc.machine_config());
+        let mut workloads = Vec::with_capacity(programs);
+        for p in 0..programs {
             sys.set_active_core(p);
             workloads.push(
                 rc.spec_for(p)
@@ -240,16 +237,15 @@ impl Experiment {
         sys.checkpoint();
         sys.reset_stats();
         self.arm(&mut sys);
+        // The checkpoint set every core clock to the drain time.
         let measure_start = sys.max_now();
 
-        // Simulated-time-ordered interleaving: the core with the smallest
-        // clock executes its next transaction.
-        let mut remaining: Vec<u64> = vec![rc.txns; rc.programs];
-        while remaining.iter().any(|&r| r > 0) {
-            let core = (0..rc.programs)
-                .filter(|&p| remaining[p] > 0)
-                .min_by_key(|&p| sys.core_now(p))
-                .expect("some program has work left");
+        // The core with the smallest clock executes its next transaction.
+        let mut remaining: Vec<u64> = vec![rc.txns; programs];
+        while let Some(core) = (0..programs)
+            .filter(|&p| remaining[p] > 0)
+            .min_by_key(|&p| sys.core_now(p))
+        {
             sys.set_active_core(core);
             let start = sys.now();
             workloads[core]
@@ -259,24 +255,38 @@ impl Experiment {
             sys.record_txn(start, end);
             remaining[core] -= 1;
         }
-        sys.checkpoint();
-        let measured_end = sys.max_now();
-        let stats = sys.stats().clone();
-        let telemetry = self.collect(&mut sys);
-        let wear = sys.controller().wear_report();
+        sys.checkpoint(); // complete the write counts
+        let result = self.result(&mut sys, measure_start, programs, "");
+        // Verify *after* snapshotting: the full-structure scan would
+        // otherwise swamp the measured phase's cache statistics.
         for (p, w) in workloads.iter_mut().enumerate() {
             sys.set_active_core(p);
             w.verify(&mut sys).expect("workload verification failed");
         }
+        result
+    }
+
+    /// Closes the measured window on a drained `sys`: detaches the
+    /// observers and snapshots statistics, cycles and wear for a run of
+    /// `programs` programs. `suffix` marks a trace-driven run.
+    fn result(
+        &mut self,
+        sys: &mut System,
+        measure_start: Cycle,
+        programs: usize,
+        suffix: &str,
+    ) -> RunResult {
+        let stats = sys.stats().clone();
+        let telemetry = self.collect(sys);
         RunResult {
-            scheme: rc.scheme,
-            workload: rc.kind.name().to_owned(),
-            req_bytes: rc.req_bytes,
-            programs: rc.programs,
-            txns: rc.txns * rc.programs as u64,
+            scheme: self.rc.scheme,
+            workload: format!("{}{suffix}", self.rc.kind.name()),
+            req_bytes: self.rc.req_bytes,
+            programs,
+            txns: self.rc.txns * programs as u64,
             stats,
-            total_cycles: measured_end - measure_start,
-            wear,
+            total_cycles: sys.max_now() - measure_start,
+            wear: sys.controller().wear_report(),
             telemetry,
         }
     }
@@ -297,30 +307,7 @@ impl Experiment {
     /// memory behavior, different machine. Per-transaction latencies come
     /// from the trace's markers.
     pub fn replay(&mut self, trace: &[TraceEvent]) -> RunResult {
-        let rc = self.rc.clone();
-        let mut sys = System::new(rc.build_config());
-        self.arm(&mut sys);
-        let measure_start = sys.now();
-        let mut txn_start = None;
-        let mut scratch = Vec::new();
-        for event in trace {
-            apply_event(&mut sys, event, &mut scratch, &mut txn_start);
-        }
-        sys.checkpoint();
-        let measured_end = sys.now();
-        let telemetry = self.collect(&mut sys);
-        let wear = sys.controller().wear_report();
-        RunResult {
-            scheme: rc.scheme,
-            workload: format!("{}(trace)", rc.kind.name()),
-            req_bytes: rc.req_bytes,
-            programs: 1,
-            txns: rc.txns,
-            stats: sys.stats().clone(),
-            total_cycles: measured_end - measure_start,
-            wear,
-            telemetry,
-        }
+        self.replay_programs(&[trace])
     }
 
     /// Multi-core run with *event-granularity* interleaving: per-program
@@ -328,78 +315,58 @@ impl Experiment {
     /// every step the core with the smallest clock executes its next
     /// memory operation. This models bank/queue contention at the same
     /// granularity as a cycle-driven simulator, unlike
-    /// [`Experiment::run_multicore`]'s transaction-granularity
-    /// scheduling, at the cost of trace memory.
+    /// [`Experiment::run`]'s transaction-granularity scheduling, at the
+    /// cost of trace memory.
     ///
     /// # Panics
     ///
     /// Panics if trace recording fails.
     pub fn run_multicore_trace(&mut self) -> RunResult {
-        let rc = self.rc.clone();
         // Record each program's trace against a private functional memory.
-        let traces: Vec<Vec<TraceEvent>> = (0..rc.programs)
-            .map(|p| record_program_trace(&rc, p, false))
+        let traces: Vec<Vec<TraceEvent>> = (0..self.rc.programs)
+            .map(|p| record_program_trace(&self.rc, p, false))
             .collect();
+        let traces: Vec<&[TraceEvent]> = traces.iter().map(Vec::as_slice).collect();
+        self.replay_programs(&traces)
+    }
 
-        let mut sys = System::new(rc.build_config());
+    /// The trace driver behind [`Experiment::replay`] and
+    /// [`Experiment::run_multicore_trace`]: replays trace `p` on core `p`
+    /// of a fresh system (every clock starts at 0), the core with the
+    /// smallest clock and events left going next, then drains. Nothing
+    /// is verified: a trace carries no workload to check.
+    fn replay_programs(&mut self, traces: &[&[TraceEvent]]) -> RunResult {
+        let mut sys = System::new(self.rc.machine_config());
         self.arm(&mut sys);
-        let measure_start = 0;
-        let mut cursors = vec![0usize; rc.programs];
-        let mut txn_starts: Vec<Option<Cycle>> = vec![None; rc.programs];
+        let mut cursors = vec![0usize; traces.len()];
+        let mut txn_starts: Vec<Option<Cycle>> = vec![None; traces.len()];
         let mut scratch = Vec::new();
-        // The core with the smallest clock and remaining work goes next.
-        while let Some(core) = (0..rc.programs)
+        while let Some(core) = (0..traces.len())
             .filter(|&p| cursors[p] < traces[p].len())
             .min_by_key(|&p| sys.core_now(p))
         {
             sys.set_active_core(core);
             let event = &traces[core][cursors[core]];
             cursors[core] += 1;
-            apply_event(&mut sys, event, &mut scratch, &mut txn_starts[core]);
-        }
-        sys.checkpoint();
-        let measured_end = sys.max_now();
-        let telemetry = self.collect(&mut sys);
-        let wear = sys.controller().wear_report();
-        RunResult {
-            scheme: rc.scheme,
-            workload: format!("{}(trace)", rc.kind.name()),
-            req_bytes: rc.req_bytes,
-            programs: rc.programs,
-            txns: rc.txns * rc.programs as u64,
-            stats: sys.stats().clone(),
-            total_cycles: measured_end - measure_start,
-            wear,
-            telemetry,
-        }
-    }
-}
-
-/// Applies one [`TraceEvent`] to `sys` — the single dispatch shared by
-/// [`Experiment::replay`] and [`Experiment::run_multicore_trace`].
-/// `txn_start` carries the open transaction's begin cycle between the
-/// `TxnBegin` and `TxnEnd` markers.
-pub(crate) fn apply_event(
-    sys: &mut System,
-    event: &TraceEvent,
-    scratch: &mut Vec<u8>,
-    txn_start: &mut Option<Cycle>,
-) {
-    match event {
-        TraceEvent::Read { addr, len } => {
-            scratch.resize(*len as usize, 0);
-            sys.read(*addr, scratch);
-        }
-        TraceEvent::Write { addr, bytes } => sys.write(*addr, bytes),
-        TraceEvent::Clwb { addr, len } => sys.clwb(*addr, *len),
-        TraceEvent::Sfence => sys.sfence(),
-        TraceEvent::TxnBegin => *txn_start = Some(sys.now()),
-        TraceEvent::TxnEnd => {
-            if let Some(start) = txn_start.take() {
-                let end = sys.now();
-                sys.record_txn(start, end);
+            match event {
+                TraceEvent::Read { addr, len } => {
+                    scratch.resize(*len as usize, 0);
+                    sys.read(*addr, &mut scratch);
+                }
+                TraceEvent::Write { addr, bytes } => sys.write(*addr, bytes),
+                TraceEvent::Clwb { addr, len } => sys.clwb(*addr, *len),
+                TraceEvent::Sfence => sys.sfence(),
+                TraceEvent::TxnBegin => txn_starts[core] = Some(sys.now()),
+                TraceEvent::TxnEnd => {
+                    if let Some(start) = txn_starts[core].take() {
+                        let end = sys.now();
+                        sys.record_txn(start, end);
+                    }
+                }
             }
         }
+        sys.checkpoint();
+        self.result(&mut sys, 0, traces.len(), "(trace)")
     }
 }
 
@@ -412,11 +379,7 @@ pub(crate) fn apply_event(
 /// # Panics
 ///
 /// Panics if a transaction fails to commit or verification diverges.
-pub(crate) fn record_program_trace(
-    rc: &RunConfig,
-    program: usize,
-    verify: bool,
-) -> Vec<TraceEvent> {
+fn record_program_trace(rc: &RunConfig, program: usize, verify: bool) -> Vec<TraceEvent> {
     let mut mem = VecMem::new();
     let mut recorder = TraceRecorder::new(&mut mem);
     let mut w = rc

@@ -42,11 +42,13 @@
 //! * [`system`] — the timed machine: per-core L1/L2 + shared L3 over the
 //!   secure memory controller, exposing the
 //!   [`PMem`](supermem_persist::PMem) interface.
-//! * [`runner`] — run configuration plus free-function experiment
-//!   drivers (thin wrappers over [`experiment`]).
-//! * [`experiment`] — the [`Experiment`] session API: builder-validated
-//!   configuration, pluggable [`sim::Observer`]s, and collected
-//!   [`sim::Telemetry`] on the [`RunResult`].
+//! * [`runner`] — run configuration: [`RunConfig`], its validation and
+//!   the machine configuration it derives.
+//! * [`experiment`] — the [`Experiment`] session, the one way to run a
+//!   [`RunConfig`]: validated configuration, pluggable
+//!   [`sim::Observer`]s, collected [`sim::Telemetry`] on the
+//!   [`RunResult`], and the two run drivers (closed loop and trace
+//!   replay).
 //! * [`mod@sweep`] — parallel experiment engine: fans independent runs over
 //!   a scoped worker pool, results in input order (bit-identical to a
 //!   sequential sweep).
@@ -74,10 +76,7 @@ pub mod verify;
 
 pub use experiment::{ConfigError, Experiment};
 pub use metrics::RunResult;
-pub use runner::{
-    env_run_threads, record_workload_trace, replay_trace, run_multicore, run_multicore_trace,
-    run_single, RunConfig,
-};
+pub use runner::{env_run_threads, RunConfig};
 pub use sca::ScaSystem;
 pub use scheme::Scheme;
 pub use sweep::{run_batch, sweep, thread_budget, worker_count};

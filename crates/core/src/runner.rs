@@ -1,27 +1,15 @@
-//! Experiment configuration and free-function drivers.
+//! Experiment configuration.
 //!
 //! [`RunConfig`] describes one experiment; [`RunConfig::validate`]
-//! rejects bad parameter combinations with a typed
-//! [`ConfigError`] instead of a mid-run panic. The
-//! free functions here ([`run_single`], [`run_multicore`],
-//! [`replay_trace`], [`run_multicore_trace`]) are thin wrappers over
-//! [`crate::Experiment`] sessions, kept for callers that don't need
-//! observers. Every driver:
-//!
-//! 1. builds and initializes the workload,
-//! 2. checkpoints and resets statistics (figures measure the steady phase),
-//! 3. runs the transactions, recording per-transaction latency,
-//! 4. **verifies the persistent structure against its shadow model** — so
-//!    every data point in every figure doubles as an end-to-end
-//!    correctness test of the encryption/persistence stack,
-//! 5. drains everything so write counts are complete.
+//! rejects bad parameter combinations with a typed [`ConfigError`]
+//! instead of a mid-run panic, and [`RunConfig::machine_config`]
+//! derives the machine it runs on. [`crate::Experiment`] runs it; its
+//! module documents what each run driver does and in which order.
 
 use supermem_sim::{Config, CounterPlacement, Mutation};
-use supermem_trace::TraceEvent;
 use supermem_workloads::{WorkloadKind, WorkloadSpec};
 
-use crate::experiment::{record_program_trace, ConfigError, Experiment};
-use crate::metrics::RunResult;
+use crate::experiment::ConfigError;
 use crate::scheme::Scheme;
 
 /// Parameters of one experiment run.
@@ -243,7 +231,7 @@ impl RunConfig {
     /// assert!(rc.with_programs(99).validate().is_err());
     /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let cfg = self.build_config();
+        let cfg = self.machine_config();
         if self.programs < 1 || self.programs > cfg.cores {
             return Err(ConfigError::Programs {
                 programs: self.programs,
@@ -262,7 +250,10 @@ impl RunConfig {
         cfg.validate().map_err(ConfigError::Machine)
     }
 
-    pub(crate) fn build_config(&self) -> Config {
+    /// The machine [`Config`] this run derives — scheme knobs, sweep
+    /// parameters, and overrides applied. This is exactly the
+    /// configuration [`crate::System`] is built with.
+    pub fn machine_config(&self) -> Config {
         let mut cfg = self.scheme.apply(Config::default());
         cfg.write_queue_entries = self.write_queue_entries;
         cfg.counter_cache_bytes = self.counter_cache_bytes;
@@ -282,13 +273,6 @@ impl RunConfig {
         cfg
     }
 
-    /// The machine [`Config`] this run derives — scheme knobs, sweep
-    /// parameters, and overrides applied. This is exactly the
-    /// configuration [`crate::System`] is built with.
-    pub fn machine_config(&self) -> Config {
-        self.build_config()
-    }
-
     pub(crate) fn spec_for(&self, program: usize) -> WorkloadSpec {
         // Each program gets a private 256 MiB slice of the 8 GB space.
         let region = 1u64 << 28;
@@ -303,76 +287,10 @@ impl RunConfig {
     }
 }
 
-/// Builds an unobserved [`Experiment`] session, panicking on an invalid
-/// configuration (the free-function contract; use [`Experiment::new`]
-/// directly for a `Result`).
-fn session(rc: &RunConfig) -> Experiment {
-    Experiment::new(rc.clone()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs one workload on core 0.
-///
-/// Equivalent to `Experiment::new(rc.clone())?.run_single()`; use
-/// [`Experiment`] directly to attach observers or handle configuration
-/// errors without panicking.
-///
-/// # Panics
-///
-/// Panics if `rc` is invalid, a transaction fails to commit, or the
-/// final verification finds a divergence.
-pub fn run_single(rc: &RunConfig) -> RunResult {
-    session(rc).run_single()
-}
-
-/// Runs `programs` copies of the workload on separate cores.
-///
-/// Equivalent to `Experiment::new(rc.clone())?.run_multicore()`.
-///
-/// # Panics
-///
-/// Panics if `programs` is zero or exceeds the configured core count,
-/// if a transaction fails, or if verification finds a divergence.
-pub fn run_multicore(rc: &RunConfig) -> RunResult {
-    session(rc).run_multicore()
-}
-
-/// Records the memory-operation trace of `rc`'s workload against a
-/// functional memory — the capture half of trace-driven simulation.
-/// Transaction boundaries are marked so a replay can measure latency.
-///
-/// # Panics
-///
-/// Panics if a transaction fails to commit.
-pub fn record_workload_trace(rc: &RunConfig) -> Vec<TraceEvent> {
-    record_program_trace(rc, 0, true)
-}
-
-/// Replays a recorded trace through a timed system configured by `rc`
-/// (the replay half of trace-driven simulation): identical memory
-/// behavior, different machine. Per-transaction latencies come from the
-/// trace's markers.
-///
-/// # Panics
-///
-/// Panics if `rc` is invalid.
-pub fn replay_trace(rc: &RunConfig, trace: &[TraceEvent]) -> RunResult {
-    session(rc).replay(trace)
-}
-
-/// Multi-core run with *event-granularity* interleaving (see
-/// [`Experiment::run_multicore_trace`]).
-///
-/// # Panics
-///
-/// Panics if `programs` is zero or exceeds the configured core count,
-/// or if trace recording fails.
-pub fn run_multicore_trace(rc: &RunConfig) -> RunResult {
-    session(rc).run_multicore_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
     use supermem_workloads::spec::ALL_KINDS;
 
     fn quick(scheme: Scheme, kind: WorkloadKind) -> RunConfig {
@@ -386,7 +304,9 @@ mod tests {
     #[test]
     fn single_core_all_schemes_on_array() {
         for scheme in crate::scheme::FIGURE_SCHEMES {
-            let r = run_single(&quick(scheme, WorkloadKind::Array));
+            let r = Experiment::new(quick(scheme, WorkloadKind::Array))
+                .unwrap()
+                .run_single();
             assert_eq!(r.stats.txn_commits, 40, "{scheme}");
             assert!(r.mean_txn_latency() > 0.0);
         }
@@ -395,16 +315,24 @@ mod tests {
     #[test]
     fn single_core_all_workloads_on_supermem() {
         for kind in ALL_KINDS {
-            let r = run_single(&quick(Scheme::SuperMem, kind));
+            let r = Experiment::new(quick(Scheme::SuperMem, kind))
+                .unwrap()
+                .run_single();
             assert_eq!(r.stats.txn_commits, 40, "{kind}");
         }
     }
 
     #[test]
     fn wt_costs_more_than_unsec_and_supermem_recovers_most() {
-        let unsec = run_single(&quick(Scheme::Unsec, WorkloadKind::Queue));
-        let wt = run_single(&quick(Scheme::WriteThrough, WorkloadKind::Queue));
-        let sm = run_single(&quick(Scheme::SuperMem, WorkloadKind::Queue));
+        let unsec = Experiment::new(quick(Scheme::Unsec, WorkloadKind::Queue))
+            .unwrap()
+            .run_single();
+        let wt = Experiment::new(quick(Scheme::WriteThrough, WorkloadKind::Queue))
+            .unwrap()
+            .run_single();
+        let sm = Experiment::new(quick(Scheme::SuperMem, WorkloadKind::Queue))
+            .unwrap()
+            .run_single();
         let u = unsec.mean_txn_latency();
         let w = wt.mean_txn_latency();
         let s = sm.mean_txn_latency();
@@ -417,9 +345,15 @@ mod tests {
 
     #[test]
     fn wt_doubles_writes_supermem_reduces_them() {
-        let unsec = run_single(&quick(Scheme::Unsec, WorkloadKind::Queue));
-        let wt = run_single(&quick(Scheme::WriteThrough, WorkloadKind::Queue));
-        let sm = run_single(&quick(Scheme::SuperMem, WorkloadKind::Queue));
+        let unsec = Experiment::new(quick(Scheme::Unsec, WorkloadKind::Queue))
+            .unwrap()
+            .run_single();
+        let wt = Experiment::new(quick(Scheme::WriteThrough, WorkloadKind::Queue))
+            .unwrap()
+            .run_single();
+        let sm = Experiment::new(quick(Scheme::SuperMem, WorkloadKind::Queue))
+            .unwrap()
+            .run_single();
         let base = unsec.nvm_writes() as f64;
         assert!(
             (wt.nvm_writes() as f64 / base - 2.0).abs() < 0.15,
@@ -436,7 +370,7 @@ mod tests {
         let mut rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
         rc.programs = 4;
         rc.txns = 15;
-        let r = run_multicore(&rc);
+        let r = Experiment::new(rc.clone()).unwrap().run_multicore();
         assert_eq!(r.stats.txn_commits, 60);
         assert_eq!(r.programs, 4);
     }
@@ -447,8 +381,8 @@ mod tests {
         one.txns = 25;
         let mut eight = one.clone();
         eight.programs = 8;
-        let r1 = run_multicore(&one);
-        let r8 = run_multicore(&eight);
+        let r1 = Experiment::new(one.clone()).unwrap().run_multicore();
+        let r8 = Experiment::new(eight.clone()).unwrap().run_multicore();
         assert!(
             r8.mean_txn_latency() > r1.mean_txn_latency(),
             "8 programs sharing banks must see longer transactions"
@@ -460,12 +394,12 @@ mod tests {
         let mut rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
         rc.txns = 15;
         rc.programs = 4;
-        let r = run_multicore_trace(&rc);
+        let r = Experiment::new(rc.clone()).unwrap().run_multicore_trace();
         assert_eq!(r.stats.txn_commits, 60);
         // Contention must be visible relative to a single program.
         let mut one = rc.clone();
         one.programs = 1;
-        let r1 = run_multicore_trace(&one);
+        let r1 = Experiment::new(one.clone()).unwrap().run_multicore_trace();
         assert!(r.mean_txn_latency() > r1.mean_txn_latency());
     }
 
@@ -474,12 +408,15 @@ mod tests {
         // Record once, replay per scheme: the trace-driven latencies must
         // preserve the live ordering Unsec < SuperMem < WT.
         let rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
-        let trace = record_workload_trace(&rc);
+        let trace = Experiment::new(rc.clone()).unwrap().record_trace();
         assert!(trace.iter().filter(|e| e.is_marker()).count() as u64 == 2 * rc.txns);
         let lat = |scheme: Scheme| {
             let mut rc = rc.clone();
             rc.scheme = scheme;
-            replay_trace(&rc, &trace).mean_txn_latency()
+            Experiment::new(rc.clone())
+                .unwrap()
+                .replay(&trace)
+                .mean_txn_latency()
         };
         let unsec = lat(Scheme::Unsec);
         let wt = lat(Scheme::WriteThrough);
@@ -493,14 +430,14 @@ mod tests {
         use crate::system::System;
         use supermem_persist::{PMem, RecoveredMemory, VecMem};
         let rc = quick(Scheme::SuperMem, WorkloadKind::HashTable);
-        let trace = record_workload_trace(&rc);
+        let trace = Experiment::new(rc.clone()).unwrap().record_trace();
         // Functional reference of the final bytes.
         let mut reference = VecMem::new();
         supermem_trace::replay(&trace, &mut reference);
         // Timed encrypted replay, then decrypt through a crash image.
         // Pre-zero the compared region: encrypted NVM merges partial-line
         // writes with garbage (uninitialized lines), VecMem with zeros.
-        let mut sys = System::new(rc.build_config());
+        let mut sys = System::new(rc.machine_config());
         sys.write(0, &vec![0u8; 8192]);
         sys.checkpoint();
         {
@@ -527,7 +464,7 @@ mod tests {
             .with_integrity_tree(true)
             .with_persisted_levels(Some(1));
         assert!(rc.validate().is_ok());
-        let r = run_single(&rc);
+        let r = Experiment::new(rc.clone()).unwrap().run_single();
         assert_eq!(r.stats.txn_commits, 40);
         assert!(
             r.stats.nvm_tree_writes > 0,
@@ -543,6 +480,8 @@ mod tests {
     fn rejects_too_many_programs() {
         let mut rc = quick(Scheme::Unsec, WorkloadKind::Array);
         rc.programs = 9;
-        run_multicore(&rc);
+        Experiment::new(rc)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run_multicore();
     }
 }

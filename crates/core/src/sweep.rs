@@ -29,8 +29,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::experiment::Experiment;
 use crate::metrics::RunResult;
-use crate::runner::{env_run_threads, run_single, RunConfig};
+use crate::runner::{env_run_threads, RunConfig};
 
 /// Number of worker threads a sweep will use: the host thread budget
 /// ([`thread_budget`]) divided by the intra-run worker count
@@ -110,10 +111,18 @@ where
         .collect()
 }
 
-/// Runs a batch of experiment configurations through [`run_single`] in
-/// parallel, preserving input order.
+/// Runs a batch of experiment configurations through [`Experiment::run`]
+/// in parallel, preserving input order.
+///
+/// # Panics
+///
+/// Panics if a configuration is invalid, or as [`Experiment::run`].
 pub fn run_batch(configs: &[RunConfig]) -> Vec<RunResult> {
-    sweep(configs, run_single)
+    sweep(configs, |rc| {
+        Experiment::new(rc.clone())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run()
+    })
 }
 
 #[cfg(test)]
@@ -153,12 +162,24 @@ mod tests {
         let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array);
         rc.txns = 10;
         let configs = vec![rc.clone(), rc.clone()];
-        let batch = sweep_on(2, &configs, run_single);
-        let solo = run_single(&rc);
+        let batch = sweep_on(2, &configs, |rc| {
+            Experiment::new(rc.clone()).unwrap().run_single()
+        });
+        let solo = Experiment::new(rc).unwrap().run_single();
         for r in &batch {
             assert_eq!(r.total_cycles, solo.total_cycles);
             assert_eq!(r.stats, solo.stats);
         }
+    }
+
+    #[test]
+    fn run_batch_honours_programs() {
+        let rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array)
+            .with_programs(2)
+            .with_txns(5);
+        let r = &run_batch(&[rc])[0];
+        assert_eq!(r.programs, 2);
+        assert_eq!(r.stats.txn_commits, 10);
     }
 
     #[test]

@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn checked_run_does_not_perturb_results() {
         let rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
-        let plain = crate::runner::run_single(&rc);
+        let plain = Experiment::new(rc.clone()).unwrap().run_single();
         let mut exp = Experiment::new(rc.clone())
             .unwrap()
             .observe_with(Box::new(Checker::new(CheckerMode::from_config(

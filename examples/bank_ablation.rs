@@ -10,7 +10,7 @@
 
 use supermem::sim::CounterPlacement;
 use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme};
+use supermem::{Experiment, RunConfig, Scheme};
 
 fn main() {
     println!("queue workload, 1 KB transactions, WT counter cache\n");
@@ -23,7 +23,7 @@ fn main() {
         let mut rc = RunConfig::new(Scheme::WriteThrough, WorkloadKind::Queue);
         rc.txns = 150;
         rc.placement_override = Some(placement);
-        let r = run_single(&rc);
+        let r = Experiment::new(rc).unwrap().run_single();
         let lat = r.mean_txn_latency();
         let base = *baseline.get_or_insert(lat);
         let total: u64 = r.stats.bank_writes.iter().sum();

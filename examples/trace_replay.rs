@@ -8,7 +8,7 @@
 
 use supermem::trace::{decode, encode};
 use supermem::workloads::WorkloadKind;
-use supermem::{record_workload_trace, replay_trace, RunConfig, Scheme};
+use supermem::{Experiment, RunConfig, Scheme};
 
 fn main() {
     let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::BTree);
@@ -16,7 +16,7 @@ fn main() {
     rc.req_bytes = 1024;
 
     // Capture once, against a purely functional memory (fast).
-    let trace = record_workload_trace(&rc);
+    let trace = Experiment::new(rc.clone()).unwrap().record_trace();
     let bytes = encode(&trace);
     println!(
         "recorded {} events ({} KiB serialized) for {} transactions",
@@ -32,7 +32,7 @@ fn main() {
     for scheme in [Scheme::Unsec, Scheme::WriteThrough, Scheme::SuperMem] {
         let mut rc = rc.clone();
         rc.scheme = scheme;
-        let r = replay_trace(&rc, &trace);
+        let r = Experiment::new(rc).unwrap().replay(&trace);
         println!(
             "{:<10} mean txn latency {:>7.0} cycles, {} NVM writes, {} coalesced",
             scheme.name(),

@@ -7,7 +7,7 @@ use supermem::nvm::addr::PageId;
 use supermem::persist::{verify_image_integrity, IntegrityVerdict, PMem};
 use supermem::sim::Config;
 use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme, System, SystemBuilder};
+use supermem::{Experiment, RunConfig, Scheme, System, SystemBuilder};
 
 fn auth_system() -> System {
     let mut cfg = Scheme::SuperMem.apply(Config::default());
@@ -89,7 +89,7 @@ fn verification_happens_on_counter_fetches_and_costs_little() {
     rc.txns = 60;
     rc.req_bytes = 256;
     rc.counter_cache_bytes = 1 << 10; // tiny cache: frequent NVM fetches
-    let plain = run_single(&rc);
+    let plain = Experiment::new(rc.clone()).unwrap().run_single();
 
     // Same run with authentication: drive it manually since RunConfig
     // has no integrity knob (it is a builder-level option).

@@ -2,7 +2,7 @@
 //! results — the property that makes the figures reproducible.
 
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_multicore, run_single, RunConfig, Scheme};
+use supermem::{Experiment, RunConfig, Scheme};
 
 #[test]
 fn identical_seeds_produce_identical_runs() {
@@ -11,8 +11,8 @@ fn identical_seeds_produce_identical_runs() {
         rc.txns = 40;
         rc.req_bytes = 256;
         rc.array_footprint = 512 << 10;
-        let a = run_single(&rc);
-        let b = run_single(&rc);
+        let a = Experiment::new(rc.clone()).unwrap().run_single();
+        let b = Experiment::new(rc.clone()).unwrap().run_single();
         assert_eq!(a.total_cycles, b.total_cycles, "{kind}");
         assert_eq!(a.stats, b.stats, "{kind}");
     }
@@ -23,9 +23,9 @@ fn different_seeds_produce_different_runs() {
     let mut rc = RunConfig::new(Scheme::SuperMem, supermem::workloads::WorkloadKind::Array);
     rc.txns = 40;
     rc.array_footprint = 512 << 10;
-    let a = run_single(&rc);
+    let a = Experiment::new(rc.clone()).unwrap().run_single();
     rc.seed = 999;
-    let b = run_single(&rc);
+    let b = Experiment::new(rc.clone()).unwrap().run_single();
     assert_ne!(
         a.stats.txn_latencies, b.stats.txn_latencies,
         "different seeds must change the access pattern"
@@ -40,8 +40,8 @@ fn multicore_is_deterministic_too() {
     );
     rc.txns = 15;
     rc.programs = 4;
-    let a = run_multicore(&rc);
-    let b = run_multicore(&rc);
+    let a = Experiment::new(rc.clone()).unwrap().run_multicore();
+    let b = Experiment::new(rc.clone()).unwrap().run_multicore();
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.stats, b.stats);
 }
@@ -82,7 +82,6 @@ fn run_digest(r: &supermem::RunResult) -> u64 {
 fn every_run_driver_matches_its_golden_digests() {
     use supermem::scheme::FIGURE_SCHEMES;
     use supermem::workloads::WorkloadKind;
-    use supermem::Experiment;
 
     let queue = |scheme: Scheme, txns: u64| {
         RunConfig::new(scheme, WorkloadKind::Queue)

@@ -1,7 +1,7 @@
 //! Multi-core integration: contention shapes from the paper's Figure 14.
 
 use supermem::workloads::WorkloadKind;
-use supermem::{run_multicore, RunConfig, Scheme};
+use supermem::{Experiment, RunConfig, Scheme};
 
 fn rc(scheme: Scheme, programs: usize) -> RunConfig {
     let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
@@ -13,9 +13,15 @@ fn rc(scheme: Scheme, programs: usize) -> RunConfig {
 
 #[test]
 fn more_programs_mean_more_contention() {
-    let one = run_multicore(&rc(Scheme::WriteThrough, 1));
-    let four = run_multicore(&rc(Scheme::WriteThrough, 4));
-    let eight = run_multicore(&rc(Scheme::WriteThrough, 8));
+    let one = Experiment::new(rc(Scheme::WriteThrough, 1))
+        .unwrap()
+        .run_multicore();
+    let four = Experiment::new(rc(Scheme::WriteThrough, 4))
+        .unwrap()
+        .run_multicore();
+    let eight = Experiment::new(rc(Scheme::WriteThrough, 8))
+        .unwrap()
+        .run_multicore();
     assert!(four.mean_txn_latency() > one.mean_txn_latency());
     assert!(eight.mean_txn_latency() > four.mean_txn_latency());
 }
@@ -24,8 +30,12 @@ fn more_programs_mean_more_contention() {
 fn supermem_still_beats_wt_under_full_load() {
     // Paper §5.1.2: even with all banks busy (8 programs), CWC+XBank
     // outperform the bare write-through cache.
-    let wt = run_multicore(&rc(Scheme::WriteThrough, 8));
-    let sm = run_multicore(&rc(Scheme::SuperMem, 8));
+    let wt = Experiment::new(rc(Scheme::WriteThrough, 8))
+        .unwrap()
+        .run_multicore();
+    let sm = Experiment::new(rc(Scheme::SuperMem, 8))
+        .unwrap()
+        .run_multicore();
     assert!(
         sm.mean_txn_latency() < wt.mean_txn_latency(),
         "SuperMem {:.0} vs WT {:.0}",
@@ -39,8 +49,12 @@ fn cwc_gains_grow_relative_to_xbank_with_load() {
     // Paper §5.1.2: with more programs, reducing writes (CWC) helps more
     // than spreading them (XBank), because all banks are already busy.
     let ratio = |programs: usize| {
-        let cwc = run_multicore(&rc(Scheme::WtCwc, programs));
-        let xbank = run_multicore(&rc(Scheme::WtXbank, programs));
+        let cwc = Experiment::new(rc(Scheme::WtCwc, programs))
+            .unwrap()
+            .run_multicore();
+        let xbank = Experiment::new(rc(Scheme::WtXbank, programs))
+            .unwrap()
+            .run_multicore();
         cwc.mean_txn_latency() / xbank.mean_txn_latency()
     };
     let light = ratio(1);
@@ -58,14 +72,18 @@ fn cwc_gains_grow_relative_to_xbank_with_load() {
 fn programs_run_in_disjoint_regions() {
     // All programs verify against their shadows inside run_multicore;
     // additionally the combined commit count must add up.
-    let r = run_multicore(&rc(Scheme::SuperMem, 4));
+    let r = Experiment::new(rc(Scheme::SuperMem, 4))
+        .unwrap()
+        .run_multicore();
     assert_eq!(r.stats.txn_commits, 80);
     assert_eq!(r.txns, 80);
 }
 
 #[test]
 fn all_banks_are_exercised_at_8_programs() {
-    let r = run_multicore(&rc(Scheme::SuperMem, 8));
+    let r = Experiment::new(rc(Scheme::SuperMem, 8))
+        .unwrap()
+        .run_multicore();
     for (bank, &writes) in r.stats.bank_writes.iter().enumerate() {
         assert!(writes > 0, "bank {bank} idle under 8 programs");
     }

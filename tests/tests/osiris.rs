@@ -75,11 +75,14 @@ fn osiris_recovery_cost_scales_with_footprint_supermem_is_free() {
 fn osiris_runtime_beats_write_through() {
     // Osiris' selling point: deferring counters buys back most of WT's
     // overhead (SuperMem achieves the same without a recovery scan).
-    use supermem::{run_single, RunConfig};
+    use supermem::{Experiment, RunConfig};
     let lat = |scheme: Scheme| {
         let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
         rc.txns = 60;
-        run_single(&rc).mean_txn_latency()
+        Experiment::new(rc.clone())
+            .unwrap()
+            .run_single()
+            .mean_txn_latency()
     };
     let wt = lat(Scheme::WriteThrough);
     let osiris = lat(Scheme::Osiris);

@@ -10,7 +10,7 @@ use supermem::nvm::addr::LineAddr;
 use supermem::sim::{Config, EventTape, SplitMix64};
 use supermem::verify::check_run;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_single, Experiment, RunConfig, Scheme};
+use supermem::{Experiment, RunConfig, Scheme};
 
 /// Random (scheme, workload, seed, channels) triples drawn from a fixed
 /// master seed, the ISSUE-6 property-test shape.
@@ -43,7 +43,7 @@ fn run_threads_leave_stats_and_telemetry_identical() {
         let mut reference = None;
         for threads in [1usize, 2, 4] {
             let rc_t = rc.clone().with_run_threads(threads);
-            let r = run_single(&rc_t);
+            let r = Experiment::new(rc_t.clone()).unwrap().run_single();
             let mut exp = Experiment::new(rc_t).expect("valid config").observe();
             let observed = exp.run();
             let telemetry_json = observed
